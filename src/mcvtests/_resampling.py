@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimation import DegeneracyError, McvVariant, _estimate_array
+from .estimation import McvVariant, _estimate_array, _estimate_stack
 from .numkit import RngStream, pinv
 
+# Resamples estimated together; bounds peak memory independently of B.
+RESAMPLE_CHUNK = 128
 # Columns of the per-group statistics produced by pooled_resample_estimates.
 COL_C, COL_B, COL_VAR_C, COL_VAR_B = 0, 1, 2, 3
 
@@ -47,31 +49,39 @@ def pooled_resample_estimates(
 
     Returns a (resamples, k, 4) array of (c, b, var_c, var_b) rows and a
     boolean mask of degenerate resamples (those stay NaN in the array).
+    Resamples are estimated RESAMPLE_CHUNK at a time, group by group, as one
+    (chunk, n_i, d) stack.
     """
     n = pool.shape[0]
     k = len(sizes)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    out = np.full((resamples, k, 4), np.nan)
-    degenerate = np.zeros(resamples, dtype=bool)
-    for b in range(resamples):
-        gen = rng.substream(b).generator()
-        idx = gen.integers(0, n, size=n) if replace else gen.permutation(n)
-        try:
-            for i in range(k):
-                x = pool[idx[bounds[i] : bounds[i + 1]]]
-                e = _estimate_array(variant, x)
-                out[b, i] = (e.c, e.b, e.var_c, e.var_b)
-        except DegeneracyError:
-            out[b] = np.nan
-            degenerate[b] = True
+    out = np.empty((resamples, k, 4))
+    codes = np.zeros((resamples, k), dtype=np.int8)
+    for start in range(0, resamples, RESAMPLE_CHUNK):
+        stop = min(start + RESAMPLE_CHUNK, resamples)
+        idx = np.empty((stop - start, n), dtype=np.intp)
+        for j, b in enumerate(range(start, stop)):
+            gen = rng.substream(b).generator()
+            idx[j] = gen.integers(0, n, size=n) if replace else gen.permutation(n)
+        for i in range(k):
+            out[start:stop, i], codes[start:stop, i] = _estimate_stack(
+                variant, pool[idx[:, bounds[i] : bounds[i + 1]]]
+            )
+    degenerate = codes.any(axis=1)
+    out[degenerate] = np.nan
     return out, degenerate
+
+
+def _wald_stack(theta: np.ndarray, sigma: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """Wald statistic of every row of (B, k) estimates and diagonal variances."""
+    v = theta @ h.T
+    m = np.einsum("lk,bk,rk->blr", h, sigma, h)
+    return n * np.einsum("bl,blr,br->b", v, pinv(m), v)
 
 
 def wald_value(theta: np.ndarray, sigma_diag: np.ndarray, h: np.ndarray, n: int) -> float:
     """n (H theta)^T (H Sigma H^T)^+ (H theta) with Sigma = diag(sigma_diag)."""
-    v = h @ theta
-    m = (h * sigma_diag) @ h.T
-    return float(n * v @ pinv(m) @ v)
+    return float(_wald_stack(theta[None], sigma_diag[None], h, n)[0])
 
 
 def wald_resample_stats(
@@ -84,9 +94,9 @@ def wald_resample_stats(
 ) -> np.ndarray:
     """Wald statistic per resample; degenerate resamples count as +inf."""
     col_val, col_var = value_columns(kind)
+    ok = ~degenerate
     out = np.full(stats.shape[0], np.inf)
-    for b in np.nonzero(~degenerate)[0]:
-        out[b] = wald_value(stats[b, :, col_val], weights * stats[b, :, col_var], h, n)
+    out[ok] = _wald_stack(stats[ok, :, col_val], weights * stats[ok, :, col_var], h, n)
     return out
 
 

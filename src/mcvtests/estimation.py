@@ -1,9 +1,18 @@
 """One-sample estimation of multivariate coefficients of variation.
 
 Implements the four MCV variants (rr, vv, vn, az), their reciprocals
-(standardized means), plug-in moment estimation including third/fourth
-mixed-moment matrices, and the delta-method asymptotic variances that all
+(standardized means), and the delta-method asymptotic variances that all
 test statistics are studentized with.
+
+A single sample is estimated through the explicit delta-method quadratic
+form (s/4) a M a^T in its third/fourth mixed-moment matrices
+(``sample_moments``, ``a_matrix``, ``asymptotic_variance``).  Resamples go
+through ``_estimate_stack``, a kernel over a (B, n, d) stack that takes
+var_c as the plug-in variance of the influence values of c (van der Vaart,
+Asymptotic Statistics, 1998, ch. 3 and 20): the same quantity without the
+d^2 x d^2 matrices, with the gradient in log space and each sample rescaled
+by a power of two first.  The kernel also answers for a single sample whose
+units push the quadratic form out of the float range.
 """
 
 from __future__ import annotations
@@ -235,8 +244,8 @@ def a_matrix(variant: McvVariant, mean: np.ndarray, cov: np.ndarray) -> np.ndarr
             raise DegeneracyError("covariance matrix is not positive definite") from exc
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         det = math.exp(logdet)
-        if det == 0.0 or not math.isfinite(det):
-            raise DegeneracyError("covariance determinant underflowed or overflowed")
+        if det == 0.0:
+            raise FloatingPointError("covariance determinant underflowed")
         linv = np.linalg.solve(chol, np.eye(d))
         det_vinv = det * (linv.T @ linv).reshape(-1)
         scale = mtm**d
@@ -293,14 +302,140 @@ def asymptotic_variance(variant: McvVariant, m: MomentSet) -> tuple[float, float
     Computes var_c = s/4 * a M a^T with M the stacked covariance of the
     first and raw second sample moments, and var_b = var_c / c^4.
     """
-    return _variance_at(variant, m, mcv(variant, m.mean, m.cov))
+    try:
+        return _variance_at(variant, m, mcv(variant, m.mean, m.cov))
+    except ArithmeticError as exc:
+        raise DegeneracyError(f"variance under- or overflowed ({exc})") from None
+
+
+# Degeneracy codes of _estimate_stack; 0 marks a regular slice.
+_REASONS = (
+    "",
+    "mean vector is zero",
+    "covariance matrix is singular ({variant} needs full rank)",
+    "covariance determinant is not positive",
+    "covariance trace is not positive",
+    "Mahalanobis form of the mean is not positive",
+    "covariance quadratic form of the mean is not positive",
+    "estimate under- or overflowed",
+)
+(_OK, _ZERO_MEAN, _SINGULAR, _DET, _TRACE, _MAHALANOBIS, _QUAD, _RANGE) = range(len(_REASONS))
+
+
+def degeneracy_reason(variant: McvVariant, code: int) -> str:
+    """Message for a nonzero degeneracy code of ``_estimate_stack``."""
+    return _REASONS[code].format(variant=variant.value)
+
+
+def _estimate_stack(variant: McvVariant, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates for every sample of a (B, n, d) stack.
+
+    Returns a (B, 4) array of (c, b, var_c, var_b) rows and a (B,) array of
+    degeneracy codes; rows with a nonzero code are NaN.  var_c is the
+    divisor-n variance over i of the influence value g . x_i + x_i' G x_i,
+    with g and G the gradient of c with respect to the mean and the raw
+    second moment.  Written in centered rows xc_i it reads g0 . xc_i +
+    xc_i' G xc_i, where g0 is the gradient with respect to the mean at a
+    fixed covariance; that form avoids cancellation against the mean.
+    """
+    bsz, n, d = x.shape
+    if n < 2:
+        raise ValueError(f"moment estimation needs n >= 2, got n={n}")
+    code = np.zeros(bsz, dtype=np.int8)
+
+    def flag(bad: np.ndarray, reason: int) -> None:
+        code[(code == _OK) & bad] = reason
+
+    def rowdot(v: np.ndarray) -> np.ndarray:
+        return np.einsum("bni,bi->bn", xc, v)
+
+    with np.errstate(all="ignore"):
+        # Every output is scale-free.  Scaling each sample by a power of two
+        # (exact) so its largest entry lies in [0.5, 1) keeps the moments in
+        # range whatever the units of the data.
+        _, expo = np.frexp(np.abs(x).max(axis=(1, 2)))
+        x = np.ldexp(x, -expo[:, None, None])
+        mean = np.einsum("bni->bi", x) / n
+        xc = x - mean[:, None, :]
+        cov = np.matmul(xc.transpose(0, 2, 1), xc)
+        cov = (cov + cov.transpose(0, 2, 1)) * (0.5 / n)
+        q = np.einsum("bi,bi->b", mean, mean)
+        flag(~(q > 0.0), _ZERO_MEAN)
+        # Flagged slices get harmless stand-ins so the stacked LAPACK calls
+        # never see a singular matrix; their rows end up NaN.
+        q = np.where(code == _OK, q, 1.0)
+        if variant in (McvVariant.RR, McvVariant.VN):
+            flag(numeric_rank(cov) < d, _SINGULAR)
+            cov = np.where((code == _OK)[:, None, None], cov, np.eye(d))
+        if variant is McvVariant.RR:
+            sign, logdet = np.linalg.slogdet(cov)
+            flag(sign <= 0.0, _DET)
+            c = np.exp(logdet / (2.0 * d) - 0.5 * np.log(q))
+            g0 = -(c / q)[:, None] * mean
+            # G = c S^-1 / (2d).
+            quad_rows = np.einsum("bni,bni->bn", xc @ np.linalg.inv(cov), xc)
+            infl = rowdot(g0) + (c / (2.0 * d))[:, None] * quad_rows
+        elif variant is McvVariant.VV:
+            tr = np.einsum("bii->b", cov)
+            flag(~(tr > 0.0), _TRACE)
+            c = np.sqrt(tr / q)
+            # g0 = -c m / q, G = I / (2 c q).
+            sq_rows = np.einsum("bni,bni->bn", xc, xc)
+            infl = -(c / q)[:, None] * rowdot(mean) + sq_rows / (2.0 * c * q)[:, None]
+        elif variant is McvVariant.VN:
+            u = np.linalg.solve(cov, mean[:, :, None])[..., 0]
+            quad = np.einsum("bi,bi->b", mean, u)
+            flag(~(quad > 0.0), _MAHALANOBIS)
+            c = 1.0 / np.sqrt(quad)
+            # g0 = -c^3 u, G = c^3 u u' / 2.
+            t = rowdot(u)
+            infl = (c**3)[:, None] * (0.5 * t * t - t)
+        elif variant is McvVariant.AZ:
+            # Through the unit mean direction, so m' S m never forms.
+            r = np.sqrt(q)
+            mh = mean / r[:, None]
+            smh = (cov @ mh[:, :, None])[..., 0]
+            quad = np.einsum("bi,bi->b", mh, smh)
+            flag(~(quad > 0.0), _QUAD)
+            c = np.sqrt(quad) / r
+            # g0 = S m / (c q^2) - 2 c m / q, G = m m' / (2 c q^2).
+            g0 = smh / (c * q * r)[:, None] - (2.0 * c / q)[:, None] * mean
+            t = rowdot(mh)
+            infl = rowdot(g0) + t * t / (2.0 * c * q)[:, None]
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+        # Sorted before summing, so var_c does not depend on the order in
+        # which the influence values come.
+        infl = np.sort(infl, axis=1)
+        dev = infl - (np.einsum("bn->b", infl) / n)[:, None]
+        var_c = np.einsum("bn,bn->b", dev, dev) / n
+        out = np.column_stack([c, 1.0 / c, var_c, var_c / c**4])
+    flag(~np.isfinite(out).all(axis=1) | ~(c > 0.0), _RANGE)
+    out[code != _OK] = np.nan
+    return out, code
 
 
 def _estimate_array(variant: McvVariant, x: np.ndarray) -> EstimateResult:
-    m = _moments_from_array(x)
-    c = mcv(variant, m.mean, m.cov)
-    var_c, var_b = _variance_at(variant, m, c)
-    return EstimateResult(variant=variant, c=c, b=1.0 / c, var_c=var_c, var_b=var_b, n=m.n)
+    x = np.asarray(x, dtype=float)
+    # Fourth powers of entries within 2**+-32 stay far from underflow and
+    # overflow, which BLAS products would not report.  Outside that window,
+    # or when the gradient's powers of det and m'm leave the float range,
+    # the kernel answers: it rescales the sample, and every output is
+    # scale-free.
+    if 2.0**-32 <= np.abs(x).max() <= 2.0**32:
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                m = _moments_from_array(x)
+                c = mcv(variant, m.mean, m.cov)
+                var_c, var_b = _variance_at(variant, m, c)
+            return EstimateResult(variant=variant, c=c, b=1.0 / c, var_c=var_c, var_b=var_b, n=m.n)
+        except ArithmeticError:
+            pass
+    out, code = _estimate_stack(variant, x[None])
+    if code[0] != _OK:
+        raise DegeneracyError(degeneracy_reason(variant, int(code[0])))
+    c, b, var_c, var_b = (float(v) for v in out[0])
+    return EstimateResult(variant=variant, c=c, b=b, var_c=var_c, var_b=var_b, n=x.shape[0])
 
 
 def estimate(variant: McvVariant, sample: Sample) -> EstimateResult:

@@ -74,26 +74,30 @@ def vec(a: np.ndarray) -> np.ndarray:
 
 
 def pinv(a: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse.
+    """Moore-Penrose pseudoinverse of a matrix or of each matrix in a stack.
 
-    Singular values below ``tol * sigma_max * max(rows, cols)`` are treated as
-    zero; ``tol`` defaults to machine epsilon.
+    Singular values below ``tol * sigma_max * max(rows, cols)`` of their own
+    matrix are treated as zero; ``tol`` defaults to machine epsilon.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if tol is None:
         tol = float(np.finfo(float).eps)
-    return np.linalg.pinv(a, rcond=tol * max(a.shape))
+    return np.linalg.pinv(a, rcond=tol * max(a.shape[-2:]))
 
 
-def numeric_rank(a: np.ndarray, tol: float | None = None) -> int:
-    """Number of singular values above ``tol * sigma_max * max(rows, cols)``."""
+def numeric_rank(a: np.ndarray, tol: float | None = None) -> int | np.ndarray:
+    """Number of singular values above ``tol * sigma_max * max(rows, cols)``.
+
+    For a stack of matrices, an array with the rank of each.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if tol is None:
         tol = float(np.finfo(float).eps)
-    return int(np.sum(s > tol * s[0] * max(a.shape)))
+    rank = np.sum(s > tol * s[..., :1] * max(a.shape[-2:]), axis=-1)
+    return int(rank) if a.ndim == 2 else rank
 
 
 def sym_sqrt(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

@@ -37,7 +37,7 @@ from ._resampling import (
 from .design import centering_matrix, tukey_contrasts
 from .estimation import DegeneracyError, McvVariant, Sample, _estimate_array, mcv
 from .numkit import RngStream, make_rng, mvn_equicoordinate_quantile, numeric_rank, sym_sqrt
-from .tests_multiple import bootstrap_mct_max_stats, correlation_matrix
+from .tests_multiple import _order_statistic, bootstrap_mct_max_stats, correlation_matrix
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -364,9 +364,7 @@ def _run_replicate(es: _EngineSpec, r: int) -> dict:
             max_b = bootstrap_mct_max_stats(
                 bstats, bdegen, spec.kind, h_pairs, theta0[spec.kind], sigma, scales, weights, n
             )
-            kth = int(np.ceil((es.resamples + 1) * (1.0 - es.alpha)))
-            kth = min(max(kth, 1), es.resamples)
-            q = float(np.sort(max_b)[kth - 1])
+            q = _order_statistic(max_b, es.alpha)
             out[spec.ident] = (max_obs > q, int(np.sum(np.isinf(max_b))))
     return out
 

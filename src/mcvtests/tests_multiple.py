@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._resampling import pooled_resample_estimates, resampling_p_value, value_columns
-from .design import ContrastMatrix, validate_contrast
+from .design import ContrastMatrix
 from .estimation import DegeneracyError, _estimate_array
 from .numkit import RngStream, mvn_equicoordinate_quantile, mvn_maxabs_sample
-from .tests_global import GroupedData, Target, group_estimates
+from .tests_global import GroupedData, Target, _coerce_contrast, group_estimates
 
 __all__ = [
     "MctResult",
@@ -100,10 +100,6 @@ class MctResult:
             }
             for i in range(len(self.labels))
         ]
-
-
-def _coerce_contrast(h: ContrastMatrix | np.ndarray) -> ContrastMatrix:
-    return h if isinstance(h, ContrastMatrix) else validate_contrast(np.asarray(h, dtype=float))
 
 
 def _contrast_scales(h: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
@@ -261,18 +257,16 @@ def bootstrap_mct_max_stats(
     the diagonal form of the square-root covariance swap.
     """
     col_val, col_var = value_columns(kind)
-    root_n = math.sqrt(n)
     out = np.full(stats.shape[0], np.inf)
-    for b in np.nonzero(~degenerate)[0]:
-        sigma_b = weights * stats[b, :, col_var]
-        if np.any(sigma_b <= 0.0):
-            continue
-        adj = np.sqrt(sigma_obs / sigma_b) * (stats[b, :, col_val] - theta0)
-        out[b] = root_n * float(np.max(np.abs(h @ adj) / scales))
+    sigma_b = weights * stats[:, :, col_var]
+    ok = ~degenerate & np.all(sigma_b > 0.0, axis=1)
+    adj = np.sqrt(sigma_obs / sigma_b[ok]) * (stats[ok, :, col_val] - theta0)
+    out[ok] = math.sqrt(n) * np.max(np.abs(adj @ h.T) / scales, axis=1)
     return out
 
 
 def _order_statistic(values: np.ndarray, alpha: float) -> float:
+    """The ceil((B + 1)(1 - alpha))-th smallest of B values, clamped to [1, B]."""
     k = int(np.ceil((values.size + 1) * (1.0 - alpha)))
     k = min(max(k, 1), values.size)
     return float(np.sort(values)[k - 1])

@@ -137,6 +137,20 @@ class TestEstimateCommand:
         assert code == EXIT_DEGENERATE
         assert "bad" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant,scale", [("rr", 1e40), ("rr", 1e-40), ("az", 1e60)])
+    def test_units_do_not_matter(self, tmp_path, variant, scale):
+        x = 1.0 + 0.4 * make_rng(11).generator().standard_normal((40, 5))
+        header = ["group"] + [f"x{j + 1}" for j in range(5)]
+        c = {}
+        for factor in (1.0, scale):
+            path = tmp_path / f"data{factor:g}.csv"
+            write_csv(path, header, [["g", *(repr(float(v)) for v in row)] for row in factor * x])
+            out = tmp_path / f"report{factor:g}.json"
+            code = main(["estimate", str(path), "--variant", variant, "--out", str(out)])
+            assert code == EXIT_OK
+            c[factor] = json.loads(out.read_text())["estimates"][0]["c"]
+        assert c[scale] == pytest.approx(c[1.0], rel=1e-9)
+
     def test_four_group_table_shape(self, four_group_file, tmp_path):
         out = tmp_path / "report.json"
         assert main(["estimate", four_group_file, "--out", str(out)]) == EXIT_OK

@@ -12,6 +12,7 @@ from mcvtests.estimation import (
     McvVariant,
     MomentSet,
     Sample,
+    _estimate_stack,
     a_matrix,
     asymptotic_variance,
     dtilde,
@@ -275,6 +276,69 @@ class TestEstimate:
         x = make_rng(1).generator().normal(2.0, 1.0, size=(4, 3))
         with pytest.warns(UserWarning, match="variance estimation"):
             estimate(McvVariant.VV, Sample(x))
+
+
+def _metamorphic_sample(seed, variant_index):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    n = int(rng.integers(d + 3, 41))
+    mu, cov = random_mean_cov(rng, d, min_mean=0.5)
+    x = mu + rng.standard_normal((n, d)) @ np.linalg.cholesky(cov).T
+    return VARIANTS[variant_index], x, rng
+
+
+def _assert_same_estimates(variant, x, y, rel=1e-10):
+    """c and b of ``estimate`` agree, and so do all four kernel outputs.
+
+    The variances of ``estimate`` come from the explicit quadratic form,
+    whose raw-moment cancellation leaves relative errors up to ~1e-6 on
+    small-c samples with few rows; the kernel's are checked instead.
+    """
+    ex, ey = estimate(variant, Sample(x)), estimate(variant, Sample(y))
+    assert ey.c == pytest.approx(ex.c, rel=rel)
+    assert ey.b == pytest.approx(ex.b, rel=rel)
+    kx, kcode = _estimate_stack(variant, x[None])
+    ky, _ = _estimate_stack(variant, y[None])
+    assert kcode[0] == 0
+    np.testing.assert_allclose(ky, kx, rtol=rel)
+
+
+class TestMetamorphic:
+    """Invariances the MCV definitions guarantee, on random samples."""
+
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=-40.0, max_value=40.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scale_invariance(self, seed, variant_index, log10_scale):
+        variant, x, _ = _metamorphic_sample(seed, variant_index)
+        _assert_same_estimates(variant, x, 10.0**log10_scale * x)
+
+    @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_orthogonal_invariance(self, seed, variant_index):
+        variant, x, rng = _metamorphic_sample(seed, variant_index)
+        q, r = np.linalg.qr(rng.standard_normal((x.shape[1], x.shape[1])))
+        _assert_same_estimates(variant, x, x @ (q * np.sign(np.diag(r))).T)
+
+    @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_row_order_invariance(self, seed, variant_index):
+        variant, x, rng = _metamorphic_sample(seed, variant_index)
+        _assert_same_estimates(variant, x, x[rng.permutation(x.shape[0])])
+
+    @pytest.mark.parametrize(
+        "variant,scale", [(McvVariant.RR, 1e40), (McvVariant.RR, 1e-40), (McvVariant.AZ, 1e60)]
+    )
+    def test_extreme_units(self, variant, scale):
+        # The quadratic form leaves the float range here; the kernel answers.
+        rng = np.random.default_rng(40)
+        x = 1.0 + 0.4 * rng.standard_normal((40, 5))
+        base, scaled = estimate(variant, Sample(x)), estimate(variant, Sample(scale * x))
+        for name in ("c", "b", "var_c", "var_b"):
+            assert getattr(scaled, name) == pytest.approx(getattr(base, name), rel=1e-9), name
 
 
 class TestOneSampleCi:
