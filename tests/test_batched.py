@@ -152,10 +152,14 @@ class TestKernelAgainstQuadraticForm:
 
 
 def loop_wald(stats, degenerate, kind, h, n, weights):
+    """n v' (H Sigma H')^+ v one resample at a time, singular values below
+    eps * r * sigma_max of each r x r matrix cut."""
     col_val, col_var = value_columns(kind)
     out = np.full(stats.shape[0], np.inf)
     for b in np.nonzero(~degenerate)[0]:
-        out[b] = wald_value(stats[b, :, col_val], weights * stats[b, :, col_var], h, n)
+        v = h @ stats[b, :, col_val]
+        m = (h * (weights * stats[b, :, col_var])) @ h.T
+        out[b] = n * v @ np.linalg.pinv(m, rcond=np.finfo(float).eps * m.shape[0]) @ v
     return out
 
 
@@ -196,6 +200,9 @@ class TestStackedCalibration:
         want = loop_wald(stats, degenerate, kind, h, n, weights)
         assert np.array_equal(np.isinf(got), degenerate)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+        col_val, col_var = value_columns(kind)
+        one = wald_value(stats[0, :, col_val], weights * stats[0, :, col_var], h, n)
+        assert one == pytest.approx(want[0], rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["c", "b"])
     def test_max_stats_match_per_resample_loop(self, resampled, kind):

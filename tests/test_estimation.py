@@ -340,6 +340,32 @@ class TestMetamorphic:
         for name in ("c", "b", "var_c", "var_b"):
             assert getattr(scaled, name) == pytest.approx(getattr(base, name), rel=1e-9), name
 
+    @pytest.mark.parametrize("scale", [1e40, 1e-40])
+    def test_gradient_out_of_range_is_a_degeneracy(self, scale):
+        # rr's determinant overflows or underflows; callers see a
+        # DegeneracyError, and estimate() sees an ArithmeticError it hands
+        # to the kernel.
+        x = scale * (1.0 + 0.4 * np.random.default_rng(40).standard_normal((40, 5)))
+        m = sample_moments(Sample(x))
+        for call in (lambda: a_matrix(McvVariant.RR, m.mean, m.cov),
+                     lambda: asymptotic_variance(McvVariant.RR, m)):
+            with pytest.raises(DegeneracyError, match="flow") as info:
+                call()
+            assert isinstance(info.value, ArithmeticError)
+
+    def test_variance_scale_underflow(self):
+        # At d=40 and c near 150, rr's c ** (2 - 4d) underflows to zero and the
+        # quadratic form used to come out NaN; the kernel answers instead.
+        x = np.random.default_rng(3).standard_normal((200, 40))
+        x += 1e-3 - x.mean(axis=0)
+        m = sample_moments(Sample(x))
+        with pytest.raises(DegeneracyError, match="underflow"):
+            asymptotic_variance(McvVariant.RR, m)
+        est = estimate(McvVariant.RR, Sample(x))
+        want, code = _estimate_stack(McvVariant.RR, x[None])
+        assert code[0] == 0 and est.c > 100.0
+        np.testing.assert_allclose([est.c, est.b, est.var_c, est.var_b], want[0], rtol=1e-12)
+
 
 class TestOneSampleCi:
     def test_width_formula(self):
