@@ -60,8 +60,7 @@ def pooled_resample_estimates(
     for start in range(0, resamples, RESAMPLE_CHUNK):
         stop = min(start + RESAMPLE_CHUNK, resamples)
         idx = np.empty((stop - start, n), dtype=np.intp)
-        for j, b in enumerate(range(start, stop)):
-            gen = rng.substream(b).generator()
+        for j, gen in enumerate(rng.substream_generators(start, stop)):
             idx[j] = gen.integers(0, n, size=n) if replace else gen.permutation(n)
         for i in range(k):
             out[start:stop, i], codes[start:stop, i] = _estimate_stack(

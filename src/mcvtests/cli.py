@@ -445,17 +445,9 @@ def _config_from_values(raw: dict, path: str) -> dict:
     raise InputError(f"unknown mode {mode!r}; use scenario or mimic")
 
 
-def _worker_count(requested: int | None) -> int | None:
-    cap = int(os.environ.get("MCV_THREADS", "0") or 0)
-    if requested is None:
-        return cap if cap > 0 else None
-    return min(requested, cap) if cap > 0 else requested
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     if bool(args.config) == bool(args.preset):
         raise InputError("exactly one of --config or --preset is required")
-    workers = _worker_count(args.workers)
     results = []
     if args.preset:
         try:
@@ -463,11 +455,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from None
         for cfg in configs:
-            results.append(run_scenario(cfg, workers=workers))
+            results.append(run_scenario(cfg, workers=args.workers))
     else:
         loaded = load_config(args.config)
         if loaded["mode"] == "scenario":
-            results.append(run_scenario(loaded["config"], workers=workers))
+            results.append(run_scenario(loaded["config"], workers=args.workers))
         else:
             results.append(
                 run_moment_mimic(
@@ -483,7 +475,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     target_kind=loaded["target_kind"],
                     mc_draws=loaded["mc_draws"],
                     seed=loaded["seed"],
-                    workers=workers,
+                    workers=args.workers,
                     name=loaded["name"],
                 )
             )

@@ -28,6 +28,13 @@ __all__ = [
 # Eigenvalue slack when deciding whether a symmetric matrix is acceptably PSD.
 PSD_TOL = 1e-8
 
+# Constants of numpy's SeedSequence (O'Neill's seed_seq design, 4-word pool).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -48,6 +55,82 @@ class RngStream:
 
     def substream(self, index: int) -> "RngStream":
         return RngStream(self.seed, self.stream + (int(index),))
+
+    def substream_generators(self, start: int, stop: int) -> list[np.random.Generator]:
+        """``[self.substream(b).generator() for b in range(start, stop)]``, seeded at once.
+
+        The SeedSequence hash of every substream runs as one computation on
+        uint32 arrays, so each generator draws exactly what the one built by
+        ``generator`` draws.
+        """
+        if start < 0 or stop > 2**32:
+            raise ValueError(f"substream range must lie in [0, 2**32), got [{start}, {stop})")
+        prefix = [w for n in (self.seed,) + self.stream for w in _uint32_words(n)]
+        index = np.arange(start, max(start, stop), dtype=np.int64).astype(np.uint32)
+        words = _seed_sequence_state(prefix, index)
+        return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the (4,) uint64 state words of a SeedSequence hashed beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, split as SeedSequence splits it."""
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence_state(prefix: list[int], last: np.ndarray) -> np.ndarray:
+    """``SeedSequence(prefix + [w]).generate_state(4, np.uint64)`` for each w in ``last``.
+
+    Returns a (len(last), 4) uint64 array.  The hash constants do not depend
+    on the data, so every entropy sequence is hashed in the same pass; uint32
+    array arithmetic wraps exactly as the C code does.
+    """
+    entropy = [np.full(last.shape, w, dtype=np.uint32) for w in prefix] + [last]
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = (const * _MULT_A) & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(last.shape, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = (const * _MULT_B) & _MASK32
+        value = value * const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack(state[0::2], axis=-1) | (np.stack(state[1::2], axis=-1) << np.uint64(32))
 
 
 def make_rng(seed: int, stream: int = 0) -> RngStream:

@@ -52,6 +52,7 @@ __all__ = [
     "run_scenario",
     "scale_to_target",
     "tidy_rows",
+    "worker_count",
 ]
 
 DISTRIBUTIONS = ("normal", "student5", "chisq10")
@@ -369,9 +370,24 @@ def _run_replicate(es: _EngineSpec, r: int) -> dict:
     return out
 
 
+def worker_count(requested: int | None = None) -> int:
+    """Worker processes for a run.
+
+    ``MCV_THREADS``, when set to a positive count, is both the default and
+    the cap; when unset, the default is one process.
+    """
+    raw = os.environ.get("MCV_THREADS", "")
+    try:
+        cap = int(raw or 0)
+    except ValueError:
+        raise ValueError(f"MCV_THREADS must be an integer, got {raw!r}") from None
+    if requested is None:
+        return cap if cap > 0 else 1
+    return min(requested, cap) if cap > 0 else requested
+
+
 def _run_engine(es: _EngineSpec, replicates: int, workers: int | None) -> list[dict]:
-    if workers is None:
-        workers = int(os.environ.get("MCV_THREADS", "1"))
+    workers = worker_count(workers)
     tasks = [(es, r) for r in range(replicates)]
     results: list[dict | None] = [None] * replicates
     if workers > 1 and replicates > 1:
@@ -418,7 +434,10 @@ def _aggregate(
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioResult:
-    """Run one scenario; replicate r uses streams derived from (seed, r)."""
+    """Run one scenario; replicate r uses streams derived from (seed, r).
+
+    Replicates run in ``worker_count(workers)`` processes.
+    """
     start = time.perf_counter()
     mu = np.asarray(cfg.mu, dtype=float)
     base = compound_symmetric(cfg.d, cfg.rho)

@@ -3,7 +3,8 @@
 The stacked estimation kernel is checked against the explicit delta-method
 quadratic form (``sample_moments`` + ``asymptotic_variance``), the stacked
 Wald and max-statistic steps against per-resample loops, and the chunked
-resampling engine against itself at chunk size one.
+resampling engine against itself at chunk size one and against a loop that
+seeds every resample's stream on its own.
 """
 
 import math
@@ -246,6 +247,31 @@ class TestChunking:
             other = pooled_resample_estimates(variant, pool, sizes, 150, make_rng(1), replace)
             np.testing.assert_array_equal(other[0], default[0])
             np.testing.assert_array_equal(other[1], default[1])
+
+    @pytest.mark.parametrize("replace", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, 128])
+    def test_matches_per_resample_generator_loop(self, monkeypatch, chunk, replace):
+        # Batch-seeded index streams: every resample must estimate exactly the
+        # rows that its own substream(b).generator() draws.
+        rng = np.random.default_rng(11)
+        pool = 1.5 + rng.standard_normal((30, 3))
+        sizes, resamples = (9, 10, 11), 150
+        bounds = np.cumsum((0,) + sizes)
+        want = np.empty((resamples, len(sizes), 4))
+        codes = np.zeros((resamples, len(sizes)), dtype=bool)
+        for b in range(resamples):
+            gen = make_rng(5, 2).substream(b).generator()
+            idx = gen.integers(0, 30, size=30) if replace else gen.permutation(30)
+            for i in range(len(sizes)):
+                stack = pool[idx[bounds[i] : bounds[i + 1]]][None]
+                vals, code = _estimate_stack(McvVariant.VV, stack)
+                want[b, i], codes[b, i] = vals[0], code[0]
+        degenerate = codes.any(axis=1)
+        want[degenerate] = np.nan
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", chunk)
+        got = pooled_resample_estimates(McvVariant.VV, pool, sizes, resamples, make_rng(5, 2), replace)
+        np.testing.assert_array_equal(got[0], want)
+        np.testing.assert_array_equal(got[1], degenerate)
 
     def test_resample_uses_its_own_substream(self):
         # Resample b estimates the rows drawn by substream b, whatever chunk

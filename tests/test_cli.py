@@ -195,6 +195,17 @@ class TestTestCommand:
             assert 0.0 < r["p_value"] <= 1.0
             assert r["resamples_used"] == 59
 
+    @pytest.mark.parametrize(
+        "command, method",
+        [("test", "permutation"), ("test", "bootstrap"), ("mct", "bootstrap"), ("mct", "asymptotic")],
+    )
+    def test_negative_seed_is_input_error(self, two_group_file, capsys, command, method):
+        args = [command, two_group_file, "--method", method, "--B", "19", "--seed", "-1"]
+        if command == "mct":
+            args += ["--mc-draws", "1000"]
+        assert main(args) == EXIT_INPUT
+        assert "non-negative" in capsys.readouterr().err
+
     def test_bad_contrast_spec_is_input_error(self, two_group_file, capsys):
         assert main(["test", two_group_file, "--contrasts", "what"]) == EXIT_INPUT
 
@@ -345,6 +356,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--workers", "1", "--out", str(out1)]) == EXIT_OK
         assert main(["simulate", "--config", cfg, "--workers", "2", "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_non_integer_thread_count_is_input_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MCV_THREADS", "many")
+        cfg = self.write_config(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
+        assert "MCV_THREADS" in capsys.readouterr().err
 
     def test_mimic_mode(self, tmp_path):
         path = tmp_path / "mimic.cfg"

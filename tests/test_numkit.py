@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from mcvtests.numkit import (
+    RngStream,
     chisq_quantile,
     kron,
     make_rng,
@@ -243,3 +244,62 @@ class TestRngStream:
     def test_uniform_mean(self):
         draws = make_rng(2024).generator().random(1_000_000)
         assert abs(draws.mean() - 0.5) < 0.002
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
+STREAM_PATHS = ((), (3,), (0, 2**32 + 7), (5, 0, 1))
+RANGES = ((0, 1), (0, 128), (128, 256), (384, 500))
+
+
+def assert_substreams_match(rng, start, stop, n=37):
+    gens = rng.substream_generators(start, stop)
+    assert len(gens) == max(stop - start, 0)
+    for b, fast in zip(range(start, stop), gens):
+        entropy = (rng.seed,) + rng.stream + (b,)
+        np.testing.assert_array_equal(
+            fast.bit_generator.seed_seq.generate_state(4, np.uint64),
+            np.random.SeedSequence(entropy).generate_state(4, np.uint64),
+        )
+        slow = rng.substream(b).generator()
+        np.testing.assert_array_equal(fast.permutation(n), slow.permutation(n))
+        np.testing.assert_array_equal(fast.integers(0, n, size=n), slow.integers(0, n, size=n))
+
+
+class TestSubstreamGenerators:
+    """The batch-seeded streams against numpy's own SeedSequence per resample."""
+
+    @pytest.mark.parametrize("stream", STREAM_PATHS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_substream_generator(self, seed, stream):
+        for start, stop in RANGES:
+            assert_substreams_match(RngStream(seed, stream), start, stop)
+
+    def test_last_substreams_below_two_to_the_32(self):
+        assert_substreams_match(make_rng(3, 1), 2**32 - 3, 2**32)
+
+    def test_empty_range(self):
+        assert make_rng(3).substream_generators(5, 5) == []
+        assert make_rng(3).substream_generators(5, 2) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70 - 1),
+        stream=st.lists(st.integers(0, 2**40), max_size=3),
+        start=st.integers(0, 2**32 - 1),
+        length=st.integers(0, 12),
+    )
+    def test_property_matches_substream_generator(self, seed, stream, start, length):
+        stop = min(start + length, 2**32)
+        assert_substreams_match(RngStream(seed, tuple(stream)), start, stop, n=11)
+
+    @pytest.mark.parametrize("seed, stream", [(-1, (0,)), (1, (0, -2))])
+    def test_negative_entropy_is_value_error(self, seed, stream):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence((seed,) + stream)
+        with pytest.raises(ValueError, match="non-negative"):
+            RngStream(seed, stream).substream_generators(0, 3)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (0, 2**32 + 1), (2**32, 2**32 + 2)])
+    def test_range_outside_uint32_is_value_error(self, start, stop):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            make_rng(0).substream_generators(start, stop)

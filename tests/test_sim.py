@@ -17,6 +17,7 @@ from mcvtests.sim import (
     run_scenario,
     scale_to_target,
     tidy_rows,
+    worker_count,
 )
 
 
@@ -278,3 +279,25 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset_configs("nope")
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("raw", [None, "", "0"])
+    def test_unset_defaults_to_one_and_caps_nothing(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("MCV_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MCV_THREADS", raw)
+        assert worker_count() == 1
+        assert worker_count(4) == 4
+
+    def test_set_is_default_and_cap(self, monkeypatch):
+        monkeypatch.setenv("MCV_THREADS", "2")
+        assert worker_count() == 2
+        assert worker_count(4) == 2
+        assert worker_count(1) == 1
+
+    def test_non_integer_is_value_error(self, monkeypatch):
+        monkeypatch.setenv("MCV_THREADS", "two")
+        with pytest.raises(ValueError, match="MCV_THREADS"):
+            worker_count()
