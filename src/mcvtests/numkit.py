@@ -66,7 +66,7 @@ class RngStream:
         if start < 0 or stop > 2**32:
             raise ValueError(f"substream range must lie in [0, 2**32), got [{start}, {stop})")
         prefix = [w for n in (self.seed,) + self.stream for w in _uint32_words(n)]
-        index = np.arange(start, max(start, stop), dtype=np.int64).astype(np.uint32)
+        index = np.arange(start, stop, dtype=np.int64).astype(np.uint32)
         words = _seed_sequence_state(prefix, index)
         return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
