@@ -17,6 +17,9 @@ from .numkit import RngStream, pinv
 RESAMPLE_CHUNK = 128
 # Columns of the per-group statistics produced by pooled_resample_estimates.
 COL_C, COL_B, COL_VAR_C, COL_VAR_B = 0, 1, 2, 3
+# How far the smallest eigenvalue of H Sigma H' must provably clear pinv's
+# cut-off (eps * size * largest) before the Wald step solves instead.
+_WALD_MARGIN = 1024.0
 
 
 def value_columns(kind: str) -> tuple[int, int]:
@@ -72,10 +75,39 @@ def pooled_resample_estimates(
 
 
 def _wald_stack(theta: np.ndarray, sigma: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
-    """Wald statistic of every row of (B, k) estimates and diagonal variances."""
+    """Wald statistic of every row of (B, k) estimates and diagonal variances.
+
+    The statistic depends on H only through its row space: with H = U_r C,
+    where C = S_r V_r' comes from the SVD of H truncated to its numeric rank
+    r and U_r has orthonormal columns, n v'(H Sigma H')^+ v equals
+    n u'(C Sigma C')^-1 u with u = U_r' v whenever the pseudo-inverse keeps
+    all r nonzero eigenvalues of H Sigma H'.  Those eigenvalues lie in
+    [min(sigma) s_r^2, max(sigma) s_1^2], so rows whose lower end clears
+    pinv's cut-off by _WALD_MARGIN are solved on the (r, r) stack; every
+    other row (a zero, negative, NaN or widely spread variance) keeps the
+    pseudo-inverse.  u comes from v, not from C theta, so both forms share
+    v's cancellation when the estimates are close.
+    """
+    u_h, s, vt = np.linalg.svd(h, full_matrices=False)
+    eps = np.finfo(float).eps
+    size = max(h.shape)
+    r = int(np.sum(s > eps * s[:1] * size))  # numeric_rank's rule
     v = theta @ h.T
-    m = np.einsum("lk,bk,rk->blr", h, sigma, h)
-    return n * np.einsum("bl,blr,br->b", v, pinv(m), v)
+    out = np.empty(theta.shape[0])
+    regular = np.zeros(theta.shape[0], dtype=bool)
+    if r:
+        cutoff = _WALD_MARGIN * eps * size * s[0] ** 2
+        regular = sigma.min(axis=1) * s[r - 1] ** 2 > cutoff * sigma.max(axis=1)
+    if regular.any():
+        c = s[:r, None] * vt[:r]
+        u = v[regular] @ u_h[:, :r]
+        m = np.einsum("lk,bk,rk->blr", c, sigma[regular], c)
+        out[regular] = n * np.einsum("bl,bl->b", u, np.linalg.solve(m, u[..., None])[..., 0])
+    if not regular.all():
+        rest = ~regular
+        m = np.einsum("lk,bk,rk->blr", h, sigma[rest], h)
+        out[rest] = n * np.einsum("bl,blr,br->b", v[rest], pinv(m), v[rest])
+    return out
 
 
 def wald_value(theta: np.ndarray, sigma_diag: np.ndarray, h: np.ndarray, n: int) -> float:

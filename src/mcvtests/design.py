@@ -12,8 +12,6 @@ from math import prod
 
 import numpy as np
 
-from .numkit import kron
-
 __all__ = [
     "ContrastMatrix",
     "FactorLayout",
@@ -140,7 +138,7 @@ def factorial_effect_matrix(layout: FactorLayout, effect: tuple[str, ...]) -> Co
     h = np.ones((1, 1))
     for name, lv in zip(layout.factors, layout.levels):
         block = centering_matrix(lv) if name in effect else np.full((1, lv), 1.0 / lv)
-        h = kron(h, block)
+        h = np.kron(h, block)
     tag = "".join(effect)
     labels = tuple(f"{tag}{i + 1}" for i in range(h.shape[0]))
     return ContrastMatrix(h, labels)

@@ -168,6 +168,15 @@ def _parse_tests(tests: tuple[str, ...], default_kind: str) -> tuple[_TestSpec, 
     return tuple(specs)
 
 
+def _check_run(alpha: float, replicates: int, resamples: int) -> None:
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    if resamples < 1:
+        raise ValueError("resamples must be >= 1")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation cell."""
@@ -201,6 +210,8 @@ class ScenarioConfig:
             raise ValueError("every group needs at least two observations")
         if len(self.mu) != self.d:
             raise ValueError(f"mu has length {len(self.mu)}, expected d={self.d}")
+        if not all(math.isfinite(v) for v in self.mu + self.targets):
+            raise ValueError("mu and targets must be finite")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if not 0.0 <= self.rho < 1.0:
@@ -209,12 +220,7 @@ class ScenarioConfig:
             raise ValueError("MCV targets must be positive")
         if self.target_kind not in ("c", "b"):
             raise ValueError(f"target_kind must be 'c' or 'b', got {self.target_kind!r}")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.resamples < 1:
-            raise ValueError("resamples must be >= 1")
+        _check_run(self.alpha, self.replicates, self.resamples)
         _parse_tests(self.tests, self.target_kind)
 
 
@@ -374,8 +380,11 @@ def worker_count(requested: int | None = None) -> int:
     """Worker processes for a run.
 
     ``MCV_THREADS``, when set to a positive count, is both the default and
-    the cap; when unset, the default is one process.
+    the cap; when unset, the default is one process.  A requested count
+    below one is a ``ValueError``.
     """
+    if requested is not None and requested < 1:
+        raise ValueError(f"worker count must be at least 1, got {requested}")
     raw = os.environ.get("MCV_THREADS", "")
     try:
         cap = int(raw or 0)
@@ -500,8 +509,15 @@ def run_moment_mimic(
     k = len(mus)
     if not (k == len(sigmas) == len(n)) or k < 2:
         raise ValueError("need matching mus, sigmas, and n for at least two groups")
+    _check_run(alpha, replicates, resamples)
     mus = [np.asarray(m, dtype=float).reshape(-1) for m in mus]
-    roots = tuple(sym_sqrt(np.asarray(s, dtype=float)) for s in sigmas)
+    sigmas = [np.asarray(s, dtype=float) for s in sigmas]
+    d = mus[0].size
+    if any(m.size != d for m in mus) or any(s.shape != (d, d) for s in sigmas):
+        raise ValueError(f"every mean needs length d={d} and every covariance shape ({d}, {d})")
+    if not all(np.isfinite(a).all() for a in mus + sigmas):
+        raise ValueError("means and covariances must be finite")
+    roots = tuple(sym_sqrt(s) for s in sigmas)
     specs = _parse_tests(tuple(tests), target_kind)
     es = _EngineSpec(
         mus=tuple(mus),

@@ -2,7 +2,8 @@
 
 The stacked estimation kernel is checked against the explicit delta-method
 quadratic form (``sample_moments`` + ``asymptotic_variance``), the stacked
-Wald and max-statistic steps against per-resample loops, and the chunked
+Wald and max-statistic steps against per-resample loops (the Wald step's
+row-space solve also against the pseudo-inverse it replaces), and the chunked
 resampling engine against itself at chunk size one and against a loop that
 seeds every resample's stream on its own.
 """
@@ -19,7 +20,12 @@ from mcvtests._resampling import (
     wald_resample_stats,
     wald_value,
 )
-from mcvtests.design import centering_matrix, tukey_contrasts
+from mcvtests.design import (
+    FactorLayout,
+    centering_matrix,
+    factorial_effect_matrix,
+    tukey_contrasts,
+)
 from mcvtests.estimation import (
     VARIANTS,
     DegeneracyError,
@@ -154,11 +160,18 @@ class TestKernelAgainstQuadraticForm:
 
 def loop_wald(stats, degenerate, kind, h, n, weights):
     """n v' (H Sigma H')^+ v one resample at a time, singular values below
-    eps * r * sigma_max of each r x r matrix cut."""
+    eps * r * sigma_max of each r x r matrix cut.
+
+    v = H theta is formed for the whole stack, as the engine forms it: when
+    the estimates nearly agree, H theta cancels, and a per-resample product
+    sums in another order (1e-12 apart for a factorial main effect).  The
+    comparison thus checks the quadratic form, which is what the engine
+    replaces."""
     col_val, col_var = value_columns(kind)
     out = np.full(stats.shape[0], np.inf)
+    v_all = stats[:, :, col_val] @ h.T
     for b in np.nonzero(~degenerate)[0]:
-        v = h @ stats[b, :, col_val]
+        v = v_all[b]
         m = (h * (weights * stats[b, :, col_var])) @ h.T
         out[b] = n * v @ np.linalg.pinv(m, rcond=np.finfo(float).eps * m.shape[0]) @ v
     return out
@@ -191,19 +204,91 @@ def resampled():
     return stats, degenerate, weights, sum(sizes)
 
 
+_LAYOUT = FactorLayout(("A", "E"), (2, 2))
+# Contrasts over four groups: k-sample, all pairs, the main effects and the
+# interaction of a 2x2 layout, more rows than rank, and scaled H (the Wald
+# statistic and the choice of path do not depend on H's scale).
+CONTRASTS = {
+    "centering": centering_matrix(4),
+    "tukey": tukey_contrasts(4).h,
+    "factorial_A": factorial_effect_matrix(_LAYOUT, ("A",)).h,
+    "factorial_E": factorial_effect_matrix(_LAYOUT, ("E",)).h,
+    "factorial_AE": factorial_effect_matrix(_LAYOUT, ("A", "E")).h,
+    "repeated_rows": np.vstack([centering_matrix(4), tukey_contrasts(4).h]),
+    "scaled_1e-6": 1e-6 * tukey_contrasts(4).h,
+    "scaled_1e6": 1e6 * centering_matrix(4),
+}
+
+
+def pinv_wald(theta, sigma, h, n):
+    """The stacked pseudo-inverse formula the row-space solve replaces."""
+    v = theta @ h.T
+    m = np.einsum("lk,bk,rk->blr", h, sigma, h)
+    return n * np.einsum("bl,blr,br->b", v, pinv(m), v)
+
+
+@pytest.fixture
+def pinv_rows(monkeypatch):
+    """Number of matrices the Wald step hands to pinv."""
+    seen = []
+
+    def counting(m):
+        seen.append(m.shape[0])
+        return pinv(m)
+
+    monkeypatch.setattr(_resampling, "pinv", counting)
+    return seen
+
+
 class TestStackedCalibration:
     @pytest.mark.parametrize("kind", ["c", "b"])
-    @pytest.mark.parametrize("contrast", ["centering", "tukey"])
-    def test_wald_matches_per_resample_loop(self, resampled, kind, contrast):
+    @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
+    def test_wald_matches_per_resample_loop(self, resampled, pinv_rows, kind, contrast):
         stats, degenerate, weights, n = resampled
-        h = centering_matrix(4) if contrast == "centering" else tukey_contrasts(4).h
+        h = CONTRASTS[contrast]
         got = wald_resample_stats(stats, degenerate, kind, h, n, weights)
+        assert pinv_rows == []  # every resample was solved on H's row space
         want = loop_wald(stats, degenerate, kind, h, n, weights)
         assert np.array_equal(np.isinf(got), degenerate)
         np.testing.assert_allclose(got, want, rtol=1e-12)
         col_val, col_var = value_columns(kind)
         one = wald_value(stats[0, :, col_val], weights * stats[0, :, col_var], h, n)
         assert one == pytest.approx(want[0], rel=1e-12)
+
+    @pytest.mark.parametrize("contrast", ["centering", "tukey", "factorial_AE", "mixed_row_scales"])
+    def test_wald_row_kinds(self, pinv_rows, contrast):
+        """Regular rows agree with the pinv formula to rounding; rows with a
+        zero, negative or widely spread variance, and every row of an H whose
+        rows span twelve orders of magnitude, are the pinv formula bit for bit."""
+        if contrast == "mixed_row_scales":
+            h = np.diag([1e-6, 1.0, 1e6, 1.0, 1.0, 1.0]) @ tukey_contrasts(4).h
+        else:
+            h = CONTRASTS[contrast]
+        rng = np.random.default_rng(8)
+        theta = 0.5 + 0.1 * rng.standard_normal((12, 4))
+        sigma = rng.uniform(0.5, 2.0, (12, 4))
+        sigma[2, 1] = 0.0
+        sigma[5] = [1.0, 1.0, 1e-17, 1.0]
+        sigma[7, 3] = -0.5
+        sigma[9] = [1e-17, 1e-17, 1e-17, 1.0]
+        irregular = np.zeros(12, dtype=bool)
+        irregular[[2, 5, 7, 9]] = True
+        if contrast == "mixed_row_scales":
+            irregular[:] = True
+        got = _resampling._wald_stack(theta, sigma, h, 50)
+        want = pinv_wald(theta, sigma, h, 50)
+        assert pinv_rows == [int(irregular.sum())]
+        assert np.array_equal(got[irregular], want[irregular])
+        np.testing.assert_allclose(got[~irregular], want[~irregular], rtol=1e-12)
+        for b in np.nonzero(irregular)[0]:
+            one = wald_value(theta[b], sigma[b], h, 50)
+            assert one == pinv_wald(theta[b : b + 1], sigma[b : b + 1], h, 50)[0]
+
+    def test_wald_of_a_zero_contrast_is_zero(self, pinv_rows):
+        theta = np.array([[1.0, 2.0, 3.0]])
+        sigma = np.ones((1, 3))
+        assert _resampling._wald_stack(theta, sigma, np.zeros((2, 3)), 10)[0] == 0.0
+        assert pinv_rows == [1]
 
     @pytest.mark.parametrize("kind", ["c", "b"])
     def test_max_stats_match_per_resample_loop(self, resampled, kind):

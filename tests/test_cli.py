@@ -389,3 +389,110 @@ class TestSimulateCommand:
         assert main(["simulate"]) == EXIT_INPUT
         cfg = self.write_config(tmp_path)
         assert main(["simulate", "--config", cfg, "--preset", "paper-size-small"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_is_input_error(self, tmp_path, capsys, workers):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", cfg, "--workers", workers, "--out", str(out)]) == EXIT_INPUT
+        assert "at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _sweep_data(tmp_path, case):
+    """A data CSV for one exit-code sweep case, or a path that does not exist."""
+    path = tmp_path / f"{case}.csv"
+    gen = make_rng(3).generator()
+    rows = [[g, *(2.0 + gen.standard_normal(2))] for g in ("a", "b") for _ in range(12)]
+    if case == "missing":
+        return str(path)
+    if case == "empty":
+        path.write_text("")
+        return str(path)
+    if case == "single_group":
+        rows = [r for r in rows if r[0] == "a"]
+    elif case == "non_numeric":
+        rows[4][1] = "oops"
+    elif case == "nan":
+        rows[4][1] = "nan"
+    elif case == "constant_rr":
+        rows = [[g, 1.5, y] for g, _, y in rows]
+    write_csv(path, ["group", "x1", "x2"], rows)
+    return str(path)
+
+
+_SCENARIO = {
+    "name": "sweep", "d": "2", "n": "10,10", "mu": "2.0,1.0", "targets": "0.5,0.5",
+    "variant": "vv", "alpha": "0.05", "replicates": "2", "resamples": "5", "seed": "1",
+    "tests": "perm_wald,boot_mct",
+}
+_MIMIC = {
+    "mode": "mimic", "n": "10,10", "mu_1": "2.0,1.0", "mu_2": "2.0,1.0",
+    "sigma_1": "1,0;0,1", "sigma_2": "1,0;0,1", "variant": "vv", "alpha": "0.05",
+    "replicates": "2", "resamples": "5", "tests": "perm_wald,boot_mct",
+}
+
+
+def _sweep_config(tmp_path, case, base):
+    """A simulate config for one exit-code sweep case, or a path that does not exist."""
+    path = tmp_path / f"{case}.cfg"
+    overrides = {
+        "single_group": {"n": "10", "targets": "0.5"},
+        "non_numeric": {"replicates": "oops"},
+        "nan": {"mu": "nan,1.0", "mu_1": "nan,1.0"},
+        "B0": {"resamples": "0"},
+        "alpha2": {"alpha": "2"},
+    }
+    if case == "missing":
+        return str(path)
+    text = ""
+    if case != "empty":
+        values = dict(base)
+        values.update({k: v for k, v in overrides.get(case, {}).items() if k in base})
+        text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    path.write_text(text)
+    return str(path)
+
+
+class TestExitCodeSweep:
+    """Every command ends with 0, 2 or 3 on every input it accepts, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, case, flags, expected",
+        [
+            (command, case, flags, expected)
+            for command in ("estimate", "test", "mct")
+            for case, flags, expected in [
+                ("missing", [], EXIT_INPUT),
+                ("empty", [], EXIT_INPUT),
+                ("single_group", [], EXIT_OK if command == "estimate" else EXIT_INPUT),
+                ("non_numeric", [], EXIT_INPUT),
+                ("nan", [], EXIT_INPUT),
+                ("constant_rr", ["--variant", "rr"], EXIT_DEGENERATE),
+                ("valid", ["--alpha", "2"], EXIT_INPUT),
+            ]
+            + ([("valid", ["--B", "0"], EXIT_INPUT)] if command != "estimate" else [])
+        ],
+    )
+    def test_data_commands(self, tmp_path, capsys, command, case, flags, expected):
+        argv = [command, _sweep_data(tmp_path, case), "--out", str(tmp_path / "r.json")]
+        if command != "estimate":
+            argv += ["--B", "20"] + (["--mc-draws", "500"] if command == "mct" else [])
+        code = main(argv + flags)
+        err = capsys.readouterr().err
+        assert code == expected, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["scenario", "mimic"])
+    @pytest.mark.parametrize(
+        "case", ["missing", "empty", "single_group", "non_numeric", "nan", "B0", "alpha2", "workers0"]
+    )
+    def test_simulate(self, tmp_path, capsys, mode, case):
+        cfg = _sweep_config(tmp_path, case, _SCENARIO if mode == "scenario" else _MIMIC)
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]
+        if case == "workers0":
+            argv += ["--workers", "0"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT, err
+        assert "Traceback" not in err

@@ -9,7 +9,6 @@ from scipy.special import ndtri
 from mcvtests.numkit import (
     RngStream,
     chisq_quantile,
-    kron,
     make_rng,
     mvn_equicoordinate_quantile,
     mvn_maxabs_sample,
@@ -22,36 +21,6 @@ from mcvtests.numkit import (
 
 def centering(k):
     return np.eye(k) - np.full((k, k), 1.0 / k)
-
-
-class TestKron:
-    def test_identity_factor(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(kron(np.ones((1, 1)), a), a)
-
-    def test_block_diagonal(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kron(np.eye(2), a)
-        np.testing.assert_array_equal(out[:2, :2], a)
-        np.testing.assert_array_equal(out[2:, 2:], a)
-        np.testing.assert_array_equal(out[:2, 2:], np.zeros((2, 2)))
-
-    def test_centering_times_half_ones(self):
-        out = kron(centering(2), np.full((1, 2), 0.5))
-        expected = np.array(
-            [[0.25, 0.25, -0.25, -0.25], [-0.25, -0.25, 0.25, 0.25]]
-        )
-        np.testing.assert_allclose(out, expected, atol=1e-15)
-
-    @given(
-        st.integers(-5, 5),
-        st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=2, max_size=2),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_bilinear_in_first_argument(self, scalar, rows):
-        a = np.array(rows, dtype=float)
-        b = np.array([[1.0, -2.0], [0.0, 3.0]])
-        np.testing.assert_array_equal(kron(scalar * a, b), scalar * kron(a, b))
 
 
 class TestVec:
@@ -142,6 +111,55 @@ class TestNumericRank:
 
     def test_zero_matrix(self):
         assert numeric_rank(np.zeros((2, 2))) == 0
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.lists(
+                st.tuples(
+                    st.sampled_from(["psd", "indefinite", "singular"]),
+                    st.lists(st.integers(-4, 4), min_size=d * d, max_size=d * d),
+                    st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=d, max_size=d),
+                    st.integers(0, max(d - 1, 0)),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        st.sampled_from([1.0, 1e-30, 3.7e20]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_stacks_match_svd_rank(self, specs, scale):
+        """Integer entries make every matrix exactly symmetric and a singular
+        one exactly singular; a common scale keeps both properties."""
+        mats = []
+        for kind, entries, signs, rank in specs:
+            d = len(signs)
+            b = np.array(entries, dtype=float).reshape(d, d)
+            if kind == "psd":
+                mats.append(b @ b.T)
+            elif kind == "indefinite":
+                mats.append(b + b.T)
+            else:
+                mats.append(b[:, :rank] @ np.diag(signs[:rank]) @ b[:, :rank].T)
+        a = scale * np.stack(mats)
+        s = np.linalg.svd(a, compute_uv=False)
+        want = np.sum(s > np.finfo(float).eps * s[:, :1] * a.shape[-1], axis=1)
+        np.testing.assert_array_equal(numeric_rank(a), want)
+        assert [numeric_rank(m) for m in a] == list(want)
+
+    def test_full_rank_covariances_skip_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((16, 40, 5))
+        xc = x - x.mean(axis=1, keepdims=True)
+        cov = xc.transpose(0, 2, 1) @ xc
+        cov = (cov + cov.transpose(0, 2, 1)) / 80.0
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        assert list(numeric_rank(cov)) == [5] * 16
+        assert calls == []
+        cov[4, :, 2] = cov[4, 2, :] = 0.0  # a constant coordinate: the SVD decides
+        assert numeric_rank(cov)[4] == 4 and calls == [1]
 
 
 class TestChisqQuantile:

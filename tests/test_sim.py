@@ -230,6 +230,28 @@ class TestRunMomentMimic:
             run_moment_mimic([np.ones(2)], [np.eye(2)], n=(10,), distribution="normal",
                              variant=McvVariant.VV, tests=("perm_wald",))
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"resamples": 0}, "resamples"),
+            ({"replicates": 0}, "replicates"),
+            ({"alpha": 2.0}, "alpha"),
+            ({"mus": [np.array([np.nan, 1.0]), np.array([2.0, 1.0])]}, "finite"),
+            ({"sigmas": [np.full((2, 2), np.inf), np.eye(2)]}, "finite"),
+            ({"mus": [np.ones(3), np.ones(2)]}, "length"),
+            ({"sigmas": [np.eye(3), np.eye(2)]}, "shape"),
+        ],
+    )
+    def test_rejects_bad_inputs(self, overrides, match):
+        kwargs = dict(
+            mus=[np.array([2.0, 1.0])] * 2, sigmas=[np.eye(2)] * 2, n=(10, 10),
+            distribution="normal", variant=McvVariant.VV, tests=("perm_wald",),
+            replicates=2, resamples=5,
+        )
+        kwargs.update(overrides)
+        with pytest.raises(ValueError, match=match):
+            run_moment_mimic(**kwargs)
+
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
@@ -249,6 +271,10 @@ class TestConfigValidation:
             tiny_config(tests=("perm_wald:x",))
         with pytest.raises(ValueError):
             tiny_config(mu=(1.0,))
+        with pytest.raises(ValueError, match="finite"):
+            tiny_config(mu=(float("nan"), 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            tiny_config(targets=(0.5, 0.5, float("inf")))
 
     def test_band_bounds_match_published_values(self):
         lo95, hi95 = band_bounds(0.05, 1000, 0.95)
@@ -301,3 +327,13 @@ class TestWorkerCount:
         monkeypatch.setenv("MCV_THREADS", "two")
         with pytest.raises(ValueError, match="MCV_THREADS"):
             worker_count()
+
+    @pytest.mark.parametrize("requested", [0, -3])
+    def test_non_positive_request_is_value_error(self, monkeypatch, requested):
+        monkeypatch.setenv("MCV_THREADS", "2")
+        with pytest.raises(ValueError, match="at least 1"):
+            worker_count(requested)
+
+    def test_run_scenario_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_scenario(tiny_config(replicates=2), workers=0)
