@@ -40,6 +40,13 @@ def group_stats(variant: McvVariant, arrays: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def target_values(stats: np.ndarray, kind: str, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """From group_stats rows: estimates of target ``kind`` and variances rescaled by n / n_i."""
+    col_val, col_var = value_columns(kind)
+    weights = sum(sizes) / np.asarray(sizes, dtype=float)
+    return stats[:, col_val], weights * stats[:, col_var]
+
+
 def pooled_resample_estimates(
     variant: McvVariant,
     pool: np.ndarray,

@@ -449,19 +449,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if bool(args.config) == bool(args.preset):
         raise InputError("exactly one of --config or --preset is required")
     results = []
+
+    def finished(res) -> None:
+        # Progress per scenario, as it ends: a multi-cell preset runs for hours.
+        results.append(res)
+        print(f"[{res.meta['scenario']}] {res.replicates_run} replicates in {res.wall_clock:.1f}s",
+              file=sys.stderr, flush=True)
+
     if args.preset:
         try:
             configs = preset_configs(args.preset)
         except ValueError as exc:
             raise InputError(str(exc)) from None
         for cfg in configs:
-            results.append(run_scenario(cfg, workers=args.workers))
+            finished(run_scenario(cfg, workers=args.workers))
     else:
         loaded = load_config(args.config)
         if loaded["mode"] == "scenario":
-            results.append(run_scenario(loaded["config"], workers=args.workers))
+            finished(run_scenario(loaded["config"], workers=args.workers))
         else:
-            results.append(
+            finished(
                 run_moment_mimic(
                     mus=[np.array(m) for m in loaded["mus"]],
                     sigmas=loaded["sigmas"],
@@ -492,8 +499,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "versions": _versions(),
         }
         _emit_report(report, args.report)
-    for res in results:
-        print(f"[{res.meta['scenario']}] {res.replicates_run} replicates in {res.wall_clock:.1f}s", file=sys.stderr)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkit import normal_quantile, numeric_rank
+from .numkit import check_alpha, normal_quantile, numeric_rank
 
 __all__ = [
     "DegeneracyError",
@@ -480,8 +480,7 @@ def one_sample_ci(
     variant: McvVariant, sample: Sample, alpha: float = 0.05
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Asymptotic two-sided confidence intervals for the MCV and its reciprocal."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     est = estimate(variant, sample)
     z = normal_quantile(1.0 - alpha / 2.0)
     scale = z / math.sqrt(est.n)

@@ -14,11 +14,13 @@ from scipy.special import gammaincinv, ndtri
 
 __all__ = [
     "RngStream",
+    "check_alpha",
     "chisq_quantile",
     "make_rng",
     "mvn_equicoordinate_quantile",
     "mvn_maxabs_sample",
     "numeric_rank",
+    "order_statistic",
     "pinv",
     "sym_sqrt",
     "vec",
@@ -262,6 +264,19 @@ def mvn_maxabs_sample(
     return maxabs
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a significance level outside the open interval (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def order_statistic(values: np.ndarray, alpha: float) -> float:
+    """The ceil((B + 1)(1 - alpha))-th smallest of B values, clamped to [1, B]."""
+    k = int(np.ceil((values.size + 1) * (1.0 - alpha)))
+    k = min(max(k, 1), values.size)
+    return float(np.partition(values, k - 1)[k - 1])
+
+
 def mvn_equicoordinate_quantile(
     corr: np.ndarray,
     alpha: float,
@@ -270,12 +285,8 @@ def mvn_equicoordinate_quantile(
 ) -> float:
     """Monte-Carlo equicoordinate (1 - alpha)-quantile of max |Z| for Z ~ N(0, corr).
 
-    Returns the ceil((draws + 1) * (1 - alpha))-th order statistic of the
-    max-abs values over ``draws`` simulated vectors.
+    Returns the order statistic of the max-abs values over ``draws``
+    simulated vectors.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    maxabs = mvn_maxabs_sample(corr, draws, rng)
-    k = int(np.ceil((draws + 1) * (1.0 - alpha)))
-    k = min(max(k, 1), draws)
-    return float(np.partition(maxabs, k - 1)[k - 1])
+    check_alpha(alpha)
+    return order_statistic(mvn_maxabs_sample(corr, draws, rng), alpha)

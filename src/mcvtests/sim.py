@@ -24,20 +24,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import chi2
 
-from ._resampling import (
-    group_stats,
-    pooled_resample_estimates,
-    resampling_p_value,
-    value_columns,
-    wald_resample_stats,
-    wald_value,
-)
+from ._resampling import group_stats, pooled_resample_estimates, target_values, value_columns
 from .design import centering_matrix, tukey_contrasts
-from .estimation import DegeneracyError, McvVariant, Sample, _estimate_array, mcv
-from .numkit import RngStream, make_rng, mvn_equicoordinate_quantile, numeric_rank, sym_sqrt
-from .tests_multiple import _order_statistic, bootstrap_mct_max_stats, correlation_matrix
+from .estimation import DegeneracyError, McvVariant, Sample, mcv
+from .numkit import RngStream, check_alpha, make_rng, sym_sqrt
+from .tests_global import Target, _wald_test
+from .tests_multiple import _mct_test
+
+# Not called here: bound only so that the benchmark's span tracer
+# (perfbench/spans.py, BOUNDARIES) still finds these names in this module.
+from ._resampling import wald_resample_stats, wald_value  # noqa: F401
+from .estimation import _estimate_array  # noqa: F401
+from .numkit import mvn_equicoordinate_quantile  # noqa: F401
+from .tests_multiple import bootstrap_mct_max_stats  # noqa: F401
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -169,8 +169,7 @@ def _parse_tests(tests: tuple[str, ...], default_kind: str) -> tuple[_TestSpec, 
 
 
 def _check_run(alpha: float, replicates: int, resamples: int) -> None:
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    check_alpha(alpha)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if resamples < 1:
@@ -204,7 +203,9 @@ class ScenarioConfig:
         object.__setattr__(self, "targets", tuple(float(v) for v in self.targets))
         object.__setattr__(self, "tests", tuple(self.tests))
         object.__setattr__(self, "variant", McvVariant(self.variant))
-        if self.k < 2 or len(self.n) != self.k or len(self.targets) != self.k:
+        if self.k < 2:
+            raise ValueError(f"a scenario needs at least two groups, got k={self.k}")
+        if len(self.n) != self.k or len(self.targets) != self.k:
             raise ValueError("k, n, and targets must describe the same number of groups")
         if any(v < 2 for v in self.n):
             raise ValueError("every group needs at least two observations")
@@ -285,94 +286,65 @@ def _replicate_worker(args: tuple[_EngineSpec, int]) -> tuple[int, dict]:
 
 
 def _run_replicate(es: _EngineSpec, r: int) -> dict:
-    """One replicate: generate data, run every configured test.
+    """One replicate: generate data, resample once per scheme, run every configured test.
 
-    Returns ident -> (reject: bool | None, degenerate_resamples: int); None
-    marks a replicate whose observed statistic was incomputable.
+    Tests go through the public tests' calibration (``_wald_test``,
+    ``_mct_test``).  Substream 1 drives the permutations, 2 the bootstrap,
+    (3, j) the Monte-Carlo draws of test j.  Returns ident -> (reject: bool
+    | None, degenerate_resamples: int); None marks a degenerate replicate.
     """
     k = len(es.n)
-    n = sum(es.n)
     stream = make_rng(es.seed, r)
     gen = stream.substream(0).generator()
     arrays = [
         _generate_array(es.distribution, np.asarray(es.mus[i]), np.asarray(es.sigma_roots[i]), es.n[i], gen)
         for i in range(k)
     ]
-    weights = n / np.asarray(es.n, dtype=float)
-    out: dict[str, tuple[bool | None, int]] = {}
     try:
         obs = group_stats(es.variant, arrays)
     except DegeneracyError:
         return {s.ident: (None, 0) for s in es.specs}
 
-    h_global = centering_matrix(k)
-    h_pairs = tukey_contrasts(k).h
     pool = np.vstack(arrays)
-
-    need_perm = any(s.family == "perm_wald" for s in es.specs)
-    need_boot = any(s.family in ("boot_wald", "boot_mct") for s in es.specs)
-    need_mct_boot = any(s.family == "boot_mct" for s in es.specs)
-
-    if need_perm:
-        pstats, pdegen = pooled_resample_estimates(
+    families = {s.family for s in es.specs}
+    perm = boot = pooled = None
+    if "perm_wald" in families:
+        perm = pooled_resample_estimates(
             es.variant, pool, es.n, es.resamples, stream.substream(1), replace=False
         )
-    if need_boot:
-        bstats, bdegen = pooled_resample_estimates(
+    if families & {"boot_wald", "boot_mct"}:
+        boot = pooled_resample_estimates(
             es.variant, pool, es.n, es.resamples, stream.substream(2), replace=True
         )
-    theta0 = {}
-    if need_mct_boot:
+    if "boot_mct" in families:
         try:
-            pooled_est = _estimate_array(es.variant, pool)
-            theta0 = {"c": pooled_est.c, "b": pooled_est.b}
+            pooled = group_stats(es.variant, [pool])[0]
         except DegeneracyError:
-            theta0 = {}
+            pass
 
+    h_global = centering_matrix(k)
+    pairs = tukey_contrasts(k)
+    wald = {"asym_wald": (None, "asymptotic"), "perm_wald": (perm, "permutation"),
+            "boot_wald": (boot, "bootstrap")}
+    out: dict[str, tuple[bool | None, int]] = {}
     for j, spec in enumerate(es.specs):
-        col_val, col_var = value_columns(spec.kind)
-        theta = obs[:, col_val]
-        sigma = weights * obs[:, col_var]
-        if spec.family in ("asym_wald", "perm_wald", "boot_wald"):
-            s_obs = wald_value(theta, sigma, h_global, n)
-            if spec.family == "asym_wald":
-                rank = numeric_rank((h_global * sigma) @ h_global.T)
-                if rank < 1:
-                    out[spec.ident] = (None, 0)
-                    continue
-                out[spec.ident] = (bool(chi2.sf(s_obs, rank) < es.alpha), 0)
-            elif spec.family == "perm_wald":
-                vals = wald_resample_stats(pstats, pdegen, spec.kind, h_global, n, weights)
-                p = resampling_p_value(vals, s_obs)
-                out[spec.ident] = (p < es.alpha, int(pdegen.sum()))
+        theta, sigma = target_values(obs, spec.kind, es.n)
+        target = Target(spec.kind, es.variant)
+        try:
+            if spec.family in wald:
+                res = _wald_test(spec.kind, theta, sigma, h_global, es.n, es.alpha, *wald[spec.family])
+            elif spec.family == "asym_mct":
+                mc = (es.mc_draws, stream.substream(3).substream(j))
+                res = _mct_test(target, pairs, theta, sigma, es.n, es.alpha, mc=mc)
+            elif pooled is None:
+                raise DegeneracyError("the pooled sample is degenerate; the bootstrap has no centre")
             else:
-                vals = wald_resample_stats(bstats, bdegen, spec.kind, h_global, n, weights)
-                p = resampling_p_value(vals, s_obs)
-                out[spec.ident] = (p < es.alpha, int(bdegen.sum()))
-            continue
-        # Max-type tests on all-pairs contrasts.
-        scale2 = np.einsum("lk,k,lk->l", h_pairs, sigma, h_pairs)
-        if np.any(scale2 <= 0.0):
+                centred = (*boot, pooled[value_columns(spec.kind)[0]])
+                res = _mct_test(target, pairs, theta, sigma, es.n, es.alpha, boot=centred)
+        except DegeneracyError:
             out[spec.ident] = (None, 0)
-            continue
-        scales = np.sqrt(scale2)
-        t_obs = math.sqrt(n) * (h_pairs @ theta) / scales
-        max_obs = float(np.max(np.abs(t_obs)))
-        if spec.family == "asym_mct":
-            corr = correlation_matrix(sigma, h_pairs)
-            q = mvn_equicoordinate_quantile(
-                corr, es.alpha, es.mc_draws, stream.substream(3).substream(j)
-            )
-            out[spec.ident] = (max_obs > q, 0)
         else:
-            if spec.kind not in theta0:
-                out[spec.ident] = (None, 0)
-                continue
-            max_b = bootstrap_mct_max_stats(
-                bstats, bdegen, spec.kind, h_pairs, theta0[spec.kind], sigma, scales, weights, n
-            )
-            q = _order_statistic(max_b, es.alpha)
-            out[spec.ident] = (max_obs > q, int(np.sum(np.isinf(max_b))))
+            out[spec.ident] = (res.reject, res.resamples_degenerate)
     return out
 
 
@@ -442,6 +414,29 @@ def _aggregate(
     )
 
 
+def _run_study(
+    name: str, es: _EngineSpec, replicates: int, workers: int | None, start: float,
+    rho: str = "", targets: str = "",
+) -> ScenarioResult:
+    """Run the replicates of a resolved study and aggregate them under its tidy metadata."""
+    per_rep = _run_engine(es, replicates, workers)
+    meta = {
+        "scenario": name,
+        "k": len(es.n),
+        "d": len(es.mus[0]),
+        "n_per_group": "|".join(str(v) for v in es.n),
+        "distribution": es.distribution,
+        "rho": rho,
+        "variant": es.variant.value,
+        "targets": targets,
+        "alpha": f"{es.alpha:g}",
+        "seed": es.seed,
+        "replicates": replicates,
+        "resamples": es.resamples,
+    }
+    return _aggregate(meta, es.specs, per_rep, es.alpha, time.perf_counter() - start)
+
+
 def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioResult:
     """Run one scenario; replicate r uses streams derived from (seed, r).
 
@@ -453,7 +448,6 @@ def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioRes
     roots = tuple(
         sym_sqrt(scale_to_target(cfg.variant, mu, base, cfg.targets[i])) for i in range(cfg.k)
     )
-    specs = _parse_tests(cfg.tests, cfg.target_kind)
     es = _EngineSpec(
         mus=tuple(mu for _ in range(cfg.k)),
         sigma_roots=roots,
@@ -464,24 +458,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioRes
         resamples=cfg.resamples,
         mc_draws=cfg.mc_draws,
         seed=cfg.seed,
-        specs=specs,
+        specs=_parse_tests(cfg.tests, cfg.target_kind),
     )
-    per_rep = _run_engine(es, cfg.replicates, workers)
-    meta = {
-        "scenario": cfg.name,
-        "k": cfg.k,
-        "d": cfg.d,
-        "n_per_group": "|".join(str(v) for v in cfg.n),
-        "distribution": cfg.distribution,
-        "rho": f"{cfg.rho:g}",
-        "variant": cfg.variant.value,
-        "targets": "|".join(f"{t:g}" for t in cfg.targets),
-        "alpha": f"{cfg.alpha:g}",
-        "seed": cfg.seed,
-        "replicates": cfg.replicates,
-        "resamples": cfg.resamples,
-    }
-    return _aggregate(meta, specs, per_rep, cfg.alpha, time.perf_counter() - start)
+    targets = "|".join(f"{t:g}" for t in cfg.targets)
+    return _run_study(cfg.name, es, cfg.replicates, workers, start, f"{cfg.rho:g}", targets)
 
 
 def run_moment_mimic(
@@ -518,7 +498,6 @@ def run_moment_mimic(
     if not all(np.isfinite(a).all() for a in mus + sigmas):
         raise ValueError("means and covariances must be finite")
     roots = tuple(sym_sqrt(s) for s in sigmas)
-    specs = _parse_tests(tuple(tests), target_kind)
     es = _EngineSpec(
         mus=tuple(mus),
         sigma_roots=roots,
@@ -529,24 +508,9 @@ def run_moment_mimic(
         resamples=resamples,
         mc_draws=mc_draws,
         seed=seed,
-        specs=specs,
+        specs=_parse_tests(tuple(tests), target_kind),
     )
-    per_rep = _run_engine(es, replicates, workers)
-    meta = {
-        "scenario": name,
-        "k": k,
-        "d": mus[0].size,
-        "n_per_group": "|".join(str(v) for v in es.n),
-        "distribution": distribution,
-        "rho": "",
-        "variant": es.variant.value,
-        "targets": "",
-        "alpha": f"{alpha:g}",
-        "seed": seed,
-        "replicates": replicates,
-        "resamples": resamples,
-    }
-    return _aggregate(meta, specs, per_rep, alpha, time.perf_counter() - start)
+    return _run_study(name, es, replicates, workers, start)
 
 
 def tidy_rows(result: ScenarioResult) -> list[dict]:

@@ -6,6 +6,10 @@ asymptotic variances.  Calibration is asymptotic (chi-square), permutation
 (pooled redistribution without replacement), or pooled bootstrap (with
 replacement); both resampling schemes re-estimate every per-group moment
 and variance on each resample.
+
+``_wald_test`` is the calibration layer: it maps per-group values, a
+contrast and an optional resample stack to a ``TestResult``.  The public
+tests and the simulation replicates both call it.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ from scipy.stats import chi2
 from ._resampling import (
     pooled_resample_estimates,
     resampling_p_value,
+    target_values,
     wald_resample_stats,
     wald_value,
 )
 from .design import ContrastMatrix, validate_contrast
-from .estimation import McvVariant, Sample, estimate
-from .numkit import RngStream, numeric_rank
+from .estimation import DegeneracyError, McvVariant, Sample, estimate
+from .numkit import RngStream, check_alpha, numeric_rank
 
 __all__ = [
     "GroupedData",
@@ -124,18 +129,38 @@ def group_estimates(target: Target, data: GroupedData) -> tuple[np.ndarray, np.n
     The i-th diagonal entry is (n / n_i) times the group's estimated
     asymptotic variance for the requested target.
     """
-    n = data.n
-    theta = np.empty(data.k)
-    sigma = np.empty(data.k)
-    for i, sample in enumerate(data.samples):
-        est = estimate(target.variant, sample)
-        theta[i] = est.c if target.kind == "c" else est.b
-        sigma[i] = (n / sample.n) * (est.var_c if target.kind == "c" else est.var_b)
-    return theta, sigma
+    ests = [estimate(target.variant, sample) for sample in data.samples]
+    stats = np.array([(e.c, e.b, e.var_c, e.var_b) for e in ests])
+    return target_values(stats, target.kind, data.sizes)
 
 
 def _coerce_contrast(h: ContrastMatrix | np.ndarray) -> ContrastMatrix:
     return h if isinstance(h, ContrastMatrix) else validate_contrast(np.asarray(h, dtype=float))
+
+
+def _contrast_inputs(
+    target: Target, data: GroupedData, contrast: ContrastMatrix | np.ndarray
+) -> tuple[ContrastMatrix, np.ndarray, np.ndarray]:
+    """The validated contrast and the per-group estimates and variances it acts on."""
+    cm = _coerce_contrast(contrast)
+    if cm.k != data.k:
+        raise ValueError(f"contrast has {cm.k} columns but data has {data.k} groups")
+    theta, sigma = group_estimates(target, data)
+    return cm, theta, sigma
+
+
+def _wald_observed(theta: np.ndarray, sigma: np.ndarray, h: np.ndarray, n: int) -> tuple[float, int]:
+    """Wald statistic and the rank of H Sigma H', which sets its chi-square reference."""
+    return wald_value(theta, sigma, h, n), numeric_rank((h * sigma) @ h.T)
+
+
+def _warn_rank(rank: int, h: np.ndarray) -> None:
+    rank_h = numeric_rank(h)
+    if rank != rank_h:
+        warnings.warn(
+            f"rank of contrasted covariance ({rank}) differs from rank of contrast ({rank_h})",
+            stacklevel=3,
+        )
 
 
 def wald_statistic(
@@ -147,19 +172,40 @@ def wald_statistic(
     surfaced as a warning since the two coincide whenever every group's
     variance is positive.
     """
-    cm = _coerce_contrast(contrast)
-    if cm.k != data.k:
-        raise ValueError(f"contrast has {cm.k} columns but data has {data.k} groups")
-    theta, sigma = group_estimates(target, data)
-    stat = wald_value(theta, sigma, cm.h, data.n)
-    rank = numeric_rank((cm.h * sigma) @ cm.h.T)
-    rank_h = numeric_rank(cm.h)
-    if rank != rank_h:
-        warnings.warn(
-            f"rank of contrasted covariance ({rank}) differs from rank of contrast ({rank_h})",
-            stacklevel=2,
-        )
+    cm, theta, sigma = _contrast_inputs(target, data, contrast)
+    stat, rank = _wald_observed(theta, sigma, cm.h, data.n)
+    _warn_rank(rank, cm.h)
     return stat, rank
+
+
+def _wald_test(
+    kind: str,
+    theta: np.ndarray,
+    sigma: np.ndarray,
+    h: np.ndarray,
+    sizes: tuple[int, ...],
+    alpha: float,
+    resampled: tuple[np.ndarray, np.ndarray] | None = None,
+    method: str = "asymptotic",
+    seed: int | None = None,
+) -> TestResult:
+    """The Wald test of H theta = 0 from per-group estimates and rescaled variances.
+
+    ``resampled`` is the (stats, degenerate) stack of
+    ``pooled_resample_estimates``; the p-value then counts the resampled
+    statistics, otherwise it is the chi-square tail at the rank of
+    H Sigma H', and a zero rank is a ``DegeneracyError``.
+    """
+    n = sum(sizes)
+    stat, rank = _wald_observed(theta, sigma, h, n)
+    if resampled is None:
+        if rank < 1:
+            raise DegeneracyError("contrasted covariance has rank zero; no asymptotic reference")
+        return TestResult(stat, rank, float(chi2.sf(stat, rank)), method, alpha)
+    stats, degenerate = resampled
+    values = wald_resample_stats(stats, degenerate, kind, h, n, n / np.asarray(sizes, dtype=float))
+    p = resampling_p_value(values, stat)
+    return TestResult(stat, rank, p, method, alpha, values.size, int(degenerate.sum()), seed)
 
 
 def asymptotic_test(
@@ -169,12 +215,11 @@ def asymptotic_test(
     alpha: float = 0.05,
 ) -> TestResult:
     """Chi-square calibrated Wald test; liberal for small groups."""
-    _check_alpha(alpha)
-    stat, rank = wald_statistic(target, data, contrast)
-    if rank < 1:
-        raise ValueError("contrasted covariance has rank zero; no asymptotic reference")
-    p = float(chi2.sf(stat, rank))
-    return TestResult(statistic=stat, rank=rank, p_value=p, method="asymptotic", alpha=alpha)
+    check_alpha(alpha)
+    cm, theta, sigma = _contrast_inputs(target, data, contrast)
+    result = _wald_test(target.kind, theta, sigma, cm.h, data.sizes, alpha)
+    _warn_rank(result.rank, cm.h)
+    return result
 
 
 def permutation_test(
@@ -186,7 +231,7 @@ def permutation_test(
     rng: RngStream | None = None,
 ) -> TestResult:
     """Wald test calibrated by pooled redistribution without replacement."""
-    return _resampling_test(target, data, contrast, alpha, resamples, rng, replace=False)
+    return _resampling_test(target, data, contrast, alpha, resamples, rng, "permutation")
 
 
 def bootstrap_test(
@@ -198,12 +243,7 @@ def bootstrap_test(
     rng: RngStream | None = None,
 ) -> TestResult:
     """Wald test calibrated by the pooled bootstrap (with replacement)."""
-    return _resampling_test(target, data, contrast, alpha, resamples, rng, replace=True)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return _resampling_test(target, data, contrast, alpha, resamples, rng, "bootstrap")
 
 
 def _resampling_test(
@@ -213,27 +253,16 @@ def _resampling_test(
     alpha: float,
     resamples: int,
     rng: RngStream | None,
-    replace: bool,
+    method: str,
 ) -> TestResult:
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
-    cm = _coerce_contrast(contrast)
-    stat, rank = wald_statistic(target, data, cm)
-    if rng is None:
-        rng = RngStream(0)
-    weights = data.n / np.asarray(data.sizes, dtype=float)
-    stats, degenerate = pooled_resample_estimates(
-        target.variant, data.pooled(), data.sizes, resamples, rng, replace
+    cm, theta, sigma = _contrast_inputs(target, data, contrast)
+    rng = rng or RngStream(0)
+    resampled = pooled_resample_estimates(
+        target.variant, data.pooled(), data.sizes, resamples, rng, replace=method == "bootstrap"
     )
-    resampled = wald_resample_stats(stats, degenerate, target.kind, cm.h, data.n, weights)
-    return TestResult(
-        statistic=stat,
-        rank=rank,
-        p_value=resampling_p_value(resampled, stat),
-        method="bootstrap" if replace else "permutation",
-        alpha=alpha,
-        resamples_used=resamples,
-        resamples_degenerate=int(degenerate.sum()),
-        seed=rng.seed,
-    )
+    result = _wald_test(target.kind, theta, sigma, cm.h, data.sizes, alpha, resampled, method, rng.seed)
+    _warn_rank(result.rank, cm.h)
+    return result

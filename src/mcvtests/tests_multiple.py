@@ -9,6 +9,10 @@ so the resampled vector attains the covariance the observed one has;
 permutation calibration is deliberately absent here because the permuted
 group estimates are cross-correlated in a way no diagonal studentization
 can undo.
+
+``_mct_test`` is the calibration layer: it maps per-group values, a contrast
+and either a Monte-Carlo stream or a bootstrap stack to an ``MctResult``.
+The public tests and the simulation replicates both call it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 from ._resampling import pooled_resample_estimates, resampling_p_value, value_columns
 from .design import ContrastMatrix
 from .estimation import DegeneracyError, _estimate_array
-from .numkit import RngStream, mvn_equicoordinate_quantile, mvn_maxabs_sample
-from .tests_global import GroupedData, Target, _coerce_contrast, group_estimates
+from .numkit import RngStream, check_alpha, mvn_equicoordinate_quantile, mvn_maxabs_sample, order_statistic
+from .tests_global import GroupedData, Target, _coerce_contrast, _contrast_inputs
 
 __all__ = [
     "MctResult",
@@ -65,6 +69,11 @@ class MctResult:
     resamples_degenerate: int = 0
     # Bootstrap max-statistic sample, kept for the companion global p-value.
     resample_max: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def reject(self) -> bool:
+        """The familywise decision: some contrast is significant."""
+        return bool(self.decisions.any())
 
     def to_dict(self) -> dict:
         return {
@@ -115,8 +124,7 @@ def t_statistics(
     target: Target, data: GroupedData, contrast: ContrastMatrix | np.ndarray
 ) -> np.ndarray:
     """Studentized contrast statistics sqrt(n) h_l' theta / sqrt(h_l' Sigma h_l)."""
-    cm = _coerce_contrast(contrast)
-    theta, sigma = group_estimates(target, data)
+    cm, theta, sigma = _contrast_inputs(target, data, contrast)
     scales = _contrast_scales(cm.h, sigma)
     return math.sqrt(data.n) * (cm.h @ theta) / scales
 
@@ -172,6 +180,49 @@ def _build_result(
     )
 
 
+def _mct_test(
+    target: Target,
+    cm: ContrastMatrix,
+    theta: np.ndarray,
+    sigma: np.ndarray,
+    sizes: tuple[int, ...],
+    alpha: float,
+    mc: tuple[int, RngStream] | None = None,
+    boot: tuple[np.ndarray, np.ndarray, float] | None = None,
+    seed: int | None = None,
+) -> MctResult:
+    """The max-type test of the contrasts from per-group estimates and rescaled variances.
+
+    The critical value is the equicoordinate normal quantile from
+    ``mc = (draws, stream)``, or the bootstrap quantile from
+    ``boot = (stats, degenerate, theta0)``: the stack of
+    ``pooled_resample_estimates`` and the pooled-sample estimate it is
+    centered at.  A contrast with zero variance is a ``DegeneracyError``.
+    """
+    n = sum(sizes)
+    scales = _contrast_scales(cm.h, sigma)
+    estimates = cm.h @ theta
+    t_obs = math.sqrt(n) * estimates / scales
+    corr = correlation_matrix(sigma, cm)
+    if boot is None:
+        draws, stream = mc
+        critical = mvn_equicoordinate_quantile(corr, alpha, draws, stream)
+        return _build_result(
+            target, cm, t_obs, estimates, scales, critical, corr, "asymptotic", alpha, n, seed=seed
+        )
+    stats, degenerate, theta0 = boot
+    weights = n / np.asarray(sizes, dtype=float)
+    resample_max = bootstrap_mct_max_stats(
+        stats, degenerate, target.kind, cm.h, theta0, sigma, scales, weights, n
+    )
+    critical = order_statistic(resample_max, alpha)
+    return _build_result(
+        target, cm, t_obs, estimates, scales, critical, corr, "bootstrap", alpha, n, seed=seed,
+        resamples_used=resample_max.size, resamples_degenerate=int(np.sum(np.isinf(resample_max))),
+        resample_max=resample_max,
+    )
+
+
 def asymptotic_mct(
     target: Target,
     data: GroupedData,
@@ -181,20 +232,10 @@ def asymptotic_mct(
     rng: RngStream | None = None,
 ) -> MctResult:
     """Multiple contrast test with the equicoordinate normal critical value."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    cm = _coerce_contrast(contrast)
-    theta, sigma = group_estimates(target, data)
-    scales = _contrast_scales(cm.h, sigma)
-    estimates = cm.h @ theta
-    t_obs = math.sqrt(data.n) * estimates / scales
-    corr = correlation_matrix(sigma, cm)
+    check_alpha(alpha)
+    cm, theta, sigma = _contrast_inputs(target, data, contrast)
     rng = rng or RngStream(0)
-    critical = mvn_equicoordinate_quantile(corr, alpha, mc_draws, rng)
-    return _build_result(
-        target, cm, t_obs, estimates, scales, critical, corr, "asymptotic", alpha, data.n,
-        seed=rng.seed,
-    )
+    return _mct_test(target, cm, theta, sigma, data.sizes, alpha, mc=(mc_draws, rng), seed=rng.seed)
 
 
 def bootstrap_mct(
@@ -206,36 +247,19 @@ def bootstrap_mct(
     rng: RngStream | None = None,
 ) -> MctResult:
     """Multiple contrast test calibrated by the re-studentized pooled bootstrap."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
-    cm = _coerce_contrast(contrast)
+    cm, theta, sigma = _contrast_inputs(target, data, contrast)
     rng = rng or RngStream(0)
-    theta, sigma = group_estimates(target, data)
-    scales = _contrast_scales(cm.h, sigma)
-    estimates = cm.h @ theta
-    t_obs = math.sqrt(data.n) * estimates / scales
-    corr = correlation_matrix(sigma, cm)
-
     pool = data.pooled()
     pooled_est = _estimate_array(target.variant, pool)
     theta0 = pooled_est.c if target.kind == "c" else pooled_est.b
-
-    weights = data.n / np.asarray(data.sizes, dtype=float)
     stats, degenerate = pooled_resample_estimates(
         target.variant, pool, data.sizes, resamples, rng, replace=True
     )
-    resample_max = bootstrap_mct_max_stats(
-        stats, degenerate, target.kind, cm.h, theta0, sigma, scales, weights, data.n
-    )
-    critical = _order_statistic(resample_max, alpha)
-    return _build_result(
-        target, cm, t_obs, estimates, scales, critical, corr, "bootstrap", alpha, data.n,
-        seed=rng.seed,
-        resamples_used=resamples,
-        resamples_degenerate=int(np.sum(np.isinf(resample_max))),
-        resample_max=resample_max,
+    return _mct_test(
+        target, cm, theta, sigma, data.sizes, alpha, boot=(stats, degenerate, theta0), seed=rng.seed
     )
 
 
@@ -263,13 +287,6 @@ def bootstrap_mct_max_stats(
     adj = np.sqrt(sigma_obs / sigma_b[ok]) * (stats[ok, :, col_val] - theta0)
     out[ok] = math.sqrt(n) * np.max(np.abs(adj @ h.T) / scales, axis=1)
     return out
-
-
-def _order_statistic(values: np.ndarray, alpha: float) -> float:
-    """The ceil((B + 1)(1 - alpha))-th smallest of B values, clamped to [1, B]."""
-    k = int(np.ceil((values.size + 1) * (1.0 - alpha)))
-    k = min(max(k, 1), values.size)
-    return float(np.sort(values)[k - 1])
 
 
 def mct_global_p(

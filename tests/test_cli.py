@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mcvtests import cli
 from mcvtests.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT,
@@ -16,6 +18,7 @@ from mcvtests.cli import (
 )
 from mcvtests.design import centering_matrix
 from mcvtests.numkit import make_rng
+from mcvtests.sim import run_scenario
 
 
 def write_csv(path, header, rows):
@@ -390,6 +393,22 @@ class TestSimulateCommand:
         cfg = self.write_config(tmp_path)
         assert main(["simulate", "--config", cfg, "--preset", "paper-size-small"]) == EXIT_INPUT
 
+    def test_preset_reports_each_scenario_as_it_finishes(self, tmp_path, monkeypatch, capsys):
+        base = cli.load_config(self.write_config(tmp_path, replicates="2", resamples="5"))["config"]
+        cells = [replace(base, name="first"), replace(base, name="second")]
+        monkeypatch.setattr(cli, "preset_configs", lambda name: cells)
+        stderr_before_run = []
+
+        def run(cfg, workers=None):
+            stderr_before_run.append(capsys.readouterr().err)
+            return run_scenario(cfg, workers=workers)
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        assert main(["simulate", "--preset", "two-cells", "--out", str(tmp_path / "t.csv")]) == EXIT_OK
+        assert stderr_before_run[0] == ""
+        assert stderr_before_run[1].startswith("[first] 2 replicates in ")
+        assert capsys.readouterr().err.startswith("[second] 2 replicates in ")
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_non_positive_workers_is_input_error(self, tmp_path, capsys, workers):
         cfg = self.write_config(tmp_path)
@@ -442,6 +461,7 @@ def _sweep_config(tmp_path, case, base):
         "nan": {"mu": "nan,1.0", "mu_1": "nan,1.0"},
         "B0": {"resamples": "0"},
         "alpha2": {"alpha": "2"},
+        "alpha0": {"alpha": "0", "tests": "asym_wald,asym_mct"},
     }
     if case == "missing":
         return str(path)
@@ -472,7 +492,8 @@ class TestExitCodeSweep:
                 ("valid", ["--alpha", "2"], EXIT_INPUT),
             ]
             + ([("valid", ["--B", "0"], EXIT_INPUT)] if command != "estimate" else [])
-        ],
+        ]
+        + [(command, "valid", ["--alpha", "0"], EXIT_INPUT) for command in ("estimate", "test", "mct")],
     )
     def test_data_commands(self, tmp_path, capsys, command, case, flags, expected):
         argv = [command, _sweep_data(tmp_path, case), "--out", str(tmp_path / "r.json")]
@@ -485,7 +506,8 @@ class TestExitCodeSweep:
 
     @pytest.mark.parametrize("mode", ["scenario", "mimic"])
     @pytest.mark.parametrize(
-        "case", ["missing", "empty", "single_group", "non_numeric", "nan", "B0", "alpha2", "workers0"]
+        "case",
+        ["missing", "empty", "single_group", "non_numeric", "nan", "B0", "alpha2", "workers0", "alpha0"],
     )
     def test_simulate(self, tmp_path, capsys, mode, case):
         cfg = _sweep_config(tmp_path, case, _SCENARIO if mode == "scenario" else _MIMIC)

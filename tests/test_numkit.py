@@ -8,11 +8,13 @@ from scipy.special import ndtri
 
 from mcvtests.numkit import (
     RngStream,
+    check_alpha,
     chisq_quantile,
     make_rng,
     mvn_equicoordinate_quantile,
     mvn_maxabs_sample,
     numeric_rank,
+    order_statistic,
     pinv,
     sym_sqrt,
     vec,
@@ -239,6 +241,26 @@ class TestEquicoordinateQuantile:
             mvn_equicoordinate_quantile(np.eye(2), 0.0, 100)
         with pytest.raises(ValueError, match="not PSD"):
             mvn_equicoordinate_quantile(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.05, 100)
+
+
+class TestOrderStatisticAndAlpha:
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.5, 0.999])
+    @pytest.mark.parametrize("size", [1, 2, 19, 500])
+    def test_is_the_clamped_order_statistic_of_the_sorted_values(self, size, alpha):
+        values = make_rng(4).generator().standard_normal(size)
+        values[::7] = np.inf
+        k = min(max(math.ceil((size + 1) * (1.0 - alpha)), 1), size)
+        assert order_statistic(values, alpha) == np.sort(values)[k - 1]
+
+    def test_quantile_is_the_order_statistic_of_its_sample(self):
+        corr = np.array([[1.0, 0.5], [0.5, 1.0]])
+        sample = mvn_maxabs_sample(corr, 3000, make_rng(9))
+        assert mvn_equicoordinate_quantile(corr, 0.05, 3000, make_rng(9)) == order_statistic(sample, 0.05)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 2.0, float("nan")])
+    def test_alpha_must_lie_strictly_inside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            check_alpha(alpha)
 
 
 class TestRngStream:

@@ -4,10 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mcvtests.estimation import VARIANTS, McvVariant, mcv, sample_moments
-from mcvtests.numkit import make_rng
+from mcvtests import sim
+from mcvtests.design import centering_matrix, tukey_contrasts
+from mcvtests.estimation import VARIANTS, DegeneracyError, McvVariant, mcv, sample_moments
+from mcvtests.numkit import make_rng, sym_sqrt
 from mcvtests.sim import (
     PRESET_MU_5D,
+    TEST_FAMILIES,
     ScenarioConfig,
     band_bounds,
     compound_symmetric,
@@ -19,6 +22,16 @@ from mcvtests.sim import (
     tidy_rows,
     worker_count,
 )
+from mcvtests.tests_global import (
+    GroupedData,
+    Target,
+    asymptotic_test,
+    bootstrap_test,
+    permutation_test,
+)
+from mcvtests.tests_multiple import asymptotic_mct, bootstrap_mct
+
+ALL_TESTS = tuple(f"{family}:{kind}" for family in TEST_FAMILIES for kind in ("c", "b"))
 
 
 def tiny_config(**overrides):
@@ -135,11 +148,10 @@ class TestGenerateSample:
 
 
 class TestRunScenario:
-    def test_alpha_zero_never_rejects_asymptotic(self):
-        cfg = tiny_config(alpha=0.0, tests=("asym_wald",), replicates=20)
-        res = run_scenario(cfg)
-        assert res.outcomes[0].rejections == 0
-        assert res.outcomes[0].valid_replicates == 20
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_outside_open_unit_interval_is_a_config_error(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            tiny_config(alpha=alpha, tests=("asym_wald", "asym_mct"))
 
     def test_deterministic_across_runs_and_workers(self):
         cfg = tiny_config(replicates=12, resamples=25)
@@ -276,6 +288,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             tiny_config(targets=(0.5, 0.5, float("inf")))
 
+    def test_one_group_is_told_it_needs_two(self):
+        with pytest.raises(ValueError, match="at least two groups"):
+            tiny_config(k=1, n=(10,), targets=(0.5,))
+
     def test_band_bounds_match_published_values(self):
         lo95, hi95 = band_bounds(0.05, 1000, 0.95)
         lo99, hi99 = band_bounds(0.05, 1000, 0.99)
@@ -337,3 +353,99 @@ class TestWorkerCount:
     def test_run_scenario_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="at least 1"):
             run_scenario(tiny_config(replicates=2), workers=0)
+
+
+def _engine_spec(k, variant, seed=21):
+    """A k-group replicate engine with spread-out group covariances, so tests reject sometimes."""
+    roots = tuple(sym_sqrt(s * compound_symmetric(2, 0.2)) for s in np.linspace(1.0, 2.5, k))
+    return sim._EngineSpec(
+        mus=(np.array([2.0, 1.0]),) * k,
+        sigma_roots=roots,
+        n=(15,) * k,
+        distribution="normal",
+        variant=variant,
+        alpha=0.1,
+        resamples=30,
+        mc_draws=2000,
+        seed=seed,
+        specs=sim._parse_tests(ALL_TESTS, "c"),
+    )
+
+
+def _public_outcome(es, spec, j, arrays, stream):
+    """(decision, degenerate resamples) of the public test on one replicate's arrays."""
+    k = len(arrays)
+    data = GroupedData.from_arrays(arrays)
+    target = Target(spec.kind, es.variant)
+    h, pairs = centering_matrix(k), tukey_contrasts(k)
+    try:
+        if spec.family == "asym_wald":
+            res = asymptotic_test(target, data, h, es.alpha)
+        elif spec.family == "perm_wald":
+            res = permutation_test(target, data, h, es.alpha, es.resamples, stream.substream(1))
+        elif spec.family == "boot_wald":
+            res = bootstrap_test(target, data, h, es.alpha, es.resamples, stream.substream(2))
+        elif spec.family == "asym_mct":
+            rng = stream.substream(3).substream(j)
+            res = asymptotic_mct(target, data, pairs, es.alpha, es.mc_draws, rng)
+        else:
+            res = bootstrap_mct(target, data, pairs, es.alpha, es.resamples, stream.substream(2))
+    except DegeneracyError:
+        return None, 0
+    decision = res.reject if spec.family.endswith("_wald") else bool(res.decisions.any())
+    return decision, res.resamples_degenerate
+
+
+class TestOneEngine:
+    """The simulator's decisions are the public tests' decisions on the same data and streams."""
+
+    @pytest.mark.parametrize("variant", list(McvVariant))
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_replicate_matches_public_tests(self, k, variant):
+        es = _engine_spec(k, variant)
+        seen = set()
+        for r in range(4):
+            stream = make_rng(es.seed, r)
+            gen = stream.substream(0).generator()
+            arrays = [
+                sim._generate_array(es.distribution, es.mus[i], es.sigma_roots[i], es.n[i], gen)
+                for i in range(k)
+            ]
+            got = sim._run_replicate(es, r)
+            for j, spec in enumerate(es.specs):
+                assert got[spec.ident] == _public_outcome(es, spec, j, arrays, stream), (r, spec.ident)
+                seen.add(got[spec.ident][0])
+        assert {True, False} <= seen
+
+    # Tidy rows of run_scenario on all ten tests, recorded before the
+    # simulator called the shared calibration layer:
+    # (test, target, valid_replicates, rejections, degenerate_replicates,
+    # degenerate_resamples).
+    GOLDEN = {
+        "vv": [
+            ("asym_wald", "c", 10, 5, 0, 0), ("asym_wald", "b", 10, 7, 0, 0),
+            ("perm_wald", "c", 10, 3, 0, 0), ("perm_wald", "b", 10, 4, 0, 0),
+            ("boot_wald", "c", 10, 4, 0, 0), ("boot_wald", "b", 10, 6, 0, 0),
+            ("asym_mct", "c", 10, 6, 0, 0), ("asym_mct", "b", 10, 7, 0, 0),
+            ("boot_mct", "c", 10, 1, 0, 0), ("boot_mct", "b", 10, 6, 0, 0),
+        ],
+        "rr": [
+            ("asym_wald", "c", 10, 5, 0, 0), ("asym_wald", "b", 10, 7, 0, 0),
+            ("perm_wald", "c", 10, 3, 0, 0), ("perm_wald", "b", 10, 3, 0, 0),
+            ("boot_wald", "c", 10, 1, 0, 4), ("boot_wald", "b", 10, 2, 0, 4),
+            ("asym_mct", "c", 10, 4, 0, 0), ("asym_mct", "b", 10, 9, 0, 0),
+            ("boot_mct", "c", 10, 0, 0, 4), ("boot_mct", "b", 10, 1, 0, 4),
+        ],
+    }
+
+    @pytest.mark.parametrize("variant", ["vv", "rr"])
+    def test_golden_tidy_rows(self, variant):
+        small = {"n": (5, 5, 6)} if variant == "rr" else {}
+        cfg = tiny_config(
+            variant=McvVariant(variant), targets=(0.5, 0.5, 0.8), replicates=10, resamples=30,
+            mc_draws=2000, alpha=0.1, tests=ALL_TESTS, **small,
+        )
+        rows = tidy_rows(run_scenario(cfg))
+        keys = ("test", "target", "valid_replicates", "rejections", "degenerate_replicates",
+                "degenerate_resamples")
+        assert [tuple(row[key] for key in keys) for row in rows] == self.GOLDEN[variant]
