@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
+from scipy.special import ndtri
 
 __all__ = [
     "RngStream",
     "check_alpha",
-    "chisq_quantile",
     "make_rng",
     "mvn_equicoordinate_quantile",
     "mvn_maxabs_sample",
@@ -23,7 +22,6 @@ __all__ = [
     "order_statistic",
     "pinv",
     "sym_sqrt",
-    "vec",
 ]
 
 # Eigenvalue slack when deciding whether a symmetric matrix is acceptably PSD.
@@ -145,19 +143,6 @@ def make_rng(seed: int, stream: int = 0) -> RngStream:
     return RngStream(int(seed), (int(stream),))
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    """Flatten a square matrix so position (i-1)*d + j holds a[i, j] (1-based).
-
-    This row-paired layout matches the (a, r) pair indexing used throughout
-    the moment matrices; every matrix vectorized here is symmetric, so the
-    transposed convention would give identical results.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"vec expects a square matrix, got shape {a.shape}")
-    return a.reshape(-1).copy()
-
-
 def pinv(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a matrix or of each matrix in a stack.
 
@@ -212,21 +197,6 @@ def sym_sqrt(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
     w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.T
-
-
-def chisq_quantile(p: float, df: int) -> float:
-    """Quantile of the chi-square law, i.e. the x with P(df/2, x/2) = p.
-
-    Inverts the regularized lower incomplete gamma function; absolute
-    accuracy is well below 1e-10 over the ranges used here.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must lie in [0, 1), got {p}")
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    if p == 0.0:
-        return 0.0
-    return float(2.0 * gammaincinv(df / 2.0, p))
 
 
 def normal_quantile(p: float) -> float:

@@ -21,7 +21,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -367,15 +369,48 @@ def worker_count(requested: int | None = None) -> int:
     return min(requested, cap) if cap > 0 else requested
 
 
+# The process's worker pool as (pid, workers, executor, stop), or None.  Made
+# by the first parallel run and kept while the worker count stays the same;
+# a forked child sees its parent's pid here and makes its own.
+_pool: tuple[int, int, ProcessPoolExecutor, Finalize] | None = None
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The process-wide executor with ``workers`` processes, made on first use."""
+    global _pool
+    if _pool is not None and _pool[:2] == (os.getpid(), workers):
+        return _pool[2]
+    _close_pool()
+    pool = ProcessPoolExecutor(max_workers=workers)
+    # Stopped at exit by concurrent.futures' exit hook, except in a
+    # multiprocessing child: that joins its children before the hook runs,
+    # so there this finalizer stops the pool first.  Its priority puts it
+    # ahead of the queue finalizers (10) the shutdown still needs.
+    stop = Finalize(None, pool.shutdown, exitpriority=100)
+    _pool = (os.getpid(), workers, pool, stop)
+    return pool
+
+
+def _close_pool() -> None:
+    """Stop this process's pool, if any; a parent's pool is only forgotten."""
+    global _pool
+    if _pool is not None:
+        _pool[3]()  # runs once, and only in the process that made the pool
+    _pool = None
+
+
 def _run_engine(es: _EngineSpec, replicates: int, workers: int | None) -> list[dict]:
     workers = worker_count(workers)
     tasks = [(es, r) for r in range(replicates)]
     results: list[dict | None] = [None] * replicates
     if workers > 1 and replicates > 1:
         chunk = max(1, replicates // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, res in pool.map(_replicate_worker, tasks, chunksize=chunk):
+        try:
+            for r, res in _worker_pool(workers).map(_replicate_worker, tasks, chunksize=chunk):
                 results[r] = res
+        except BrokenProcessPool:
+            _close_pool()  # a worker died; the next run starts a new pool
+            raise
     else:
         for r in range(replicates):
             results[r] = _run_replicate(es, r)
@@ -440,7 +475,12 @@ def _run_study(
 def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioResult:
     """Run one scenario; replicate r uses streams derived from (seed, r).
 
-    Replicates run in ``worker_count(workers)`` processes.
+    Replicates run in ``worker_count(workers)`` processes.  With more than
+    one, the workers start at the first parallel call and are reused by
+    later calls with the same count; a different count replaces them, and
+    they end when the interpreter exits.  They are forked at their start,
+    so code patched in this process after the first parallel call does not
+    reach them.
     """
     start = time.perf_counter()
     mu = np.asarray(cfg.mu, dtype=float)

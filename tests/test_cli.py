@@ -409,6 +409,17 @@ class TestSimulateCommand:
         assert stderr_before_run[1].startswith("[first] 2 replicates in ")
         assert capsys.readouterr().err.startswith("[second] 2 replicates in ")
 
+    def test_preset_cells_share_one_pool(self, tmp_path, monkeypatch, pool_builds):
+        base = cli.load_config(self.write_config(tmp_path, replicates="4", resamples="8"))["config"]
+        cells = [replace(base, name="first"), replace(base, name="second", seed=4)]
+        monkeypatch.setattr(cli, "preset_configs", lambda name: cells)
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        assert main(["simulate", "--preset", "two-cells", "--workers", "1", "--out", str(out1)]) == EXIT_OK
+        assert pool_builds == []
+        assert main(["simulate", "--preset", "two-cells", "--workers", "2", "--out", str(out2)]) == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
+        assert len(pool_builds) == 1
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_non_positive_workers_is_input_error(self, tmp_path, capsys, workers):
         cfg = self.write_config(tmp_path)

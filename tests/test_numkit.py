@@ -9,7 +9,6 @@ from scipy.special import ndtri
 from mcvtests.numkit import (
     RngStream,
     check_alpha,
-    chisq_quantile,
     make_rng,
     mvn_equicoordinate_quantile,
     mvn_maxabs_sample,
@@ -17,33 +16,11 @@ from mcvtests.numkit import (
     order_statistic,
     pinv,
     sym_sqrt,
-    vec,
 )
 
 
 def centering(k):
     return np.eye(k) - np.full((k, k), 1.0 / k)
-
-
-class TestVec:
-    def test_identity(self):
-        np.testing.assert_array_equal(vec(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
-
-    def test_symmetric(self):
-        np.testing.assert_array_equal(vec(np.array([[1.0, 2.0], [2.0, 5.0]])), [1, 2, 2, 5])
-
-    def test_scalar(self):
-        np.testing.assert_array_equal(vec(np.array([[7.0]])), [7.0])
-
-    def test_pair_layout(self):
-        # Position (a-1)*d + r holds entry (a, r), 1-based.
-        a = np.arange(9.0).reshape(3, 3)
-        v = vec(a)
-        assert v[(2 - 1) * 3 + (3 - 1)] == a[1, 2]
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            vec(np.ones((2, 3)))
 
 
 def penrose_residuals(a, ap):
@@ -162,26 +139,6 @@ class TestNumericRank:
         assert calls == []
         cov[4, :, 2] = cov[4, 2, :] = 0.0  # a constant coordinate: the SVD decides
         assert numeric_rank(cov)[4] == 4 and calls == [1]
-
-
-class TestChisqQuantile:
-    def test_zero_probability(self):
-        assert chisq_quantile(0.0, 5) == 0.0
-
-    def test_one_degree_is_squared_normal_quantile(self):
-        assert chisq_quantile(0.95, 1) == pytest.approx(ndtri(0.975) ** 2, abs=1e-10)
-        assert chisq_quantile(0.95, 1) == pytest.approx(3.8415, abs=5e-5)
-
-    def test_three_degrees(self):
-        assert chisq_quantile(0.95, 3) == pytest.approx(7.8147, abs=5e-5)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            chisq_quantile(1.0, 3)
-        with pytest.raises(ValueError):
-            chisq_quantile(-0.1, 3)
-        with pytest.raises(ValueError):
-            chisq_quantile(0.5, 0)
 
 
 def normal_pdf(x):

@@ -1,5 +1,13 @@
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +361,91 @@ class TestWorkerCount:
     def test_run_scenario_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="at least 1"):
             run_scenario(tiny_config(replicates=2), workers=0)
+
+
+class TestWorkerPool:
+    """One executor per process, reused while the worker count stays the same."""
+
+    CFG = tiny_config(replicates=6, resamples=10, tests=("perm_wald", "boot_mct"))
+
+    def rows(self, workers):
+        return tidy_rows(run_scenario(self.CFG, workers=workers))
+
+    def test_consecutive_calls_share_one_pool(self, pool_builds):
+        serial = self.rows(1)
+        assert pool_builds == []
+        assert self.rows(2) == serial
+        assert self.rows(2) == serial
+        assert len(pool_builds) == 1
+
+    def test_a_new_count_replaces_the_pool(self, pool_builds):
+        first = self.rows(2)
+        assert self.rows(1) == first  # the serial path leaves the pool alone
+        assert self.rows(2) == first
+        assert len(pool_builds) == 1
+        assert self.rows(3) == first
+        assert len(pool_builds) == 2
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pool_builds[0].submit(os.getpid)
+
+    def test_a_killed_worker_costs_at_most_one_call(self, pool_builds):
+        expected = self.rows(2)
+        os.kill(pool_builds[0].submit(os.getpid).result(), signal.SIGKILL)
+        try:
+            rows = self.rows(2)
+        except BrokenProcessPool:
+            rows = self.rows(2)
+        assert rows == expected
+        assert len(pool_builds) <= 2
+
+    def test_a_forked_child_makes_its_own_pool(self, pool_builds):
+        expected = self.rows(2)
+
+        def child():
+            ok = self.rows(2) == expected and sim._pool[0] == os.getpid()
+            sys.exit(0 if ok else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        proc.kill()  # a no-op once it has exited
+        proc.join()
+        assert proc.exitcode == 0
+        assert self.rows(2) == expected
+        assert len(pool_builds) == 1  # the child's pool was built in the child
+
+    def test_interpreter_exit_stops_the_workers(self, tmp_path):
+        script = tmp_path / "run.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "from mcvtests.estimation import McvVariant\n"
+            "from mcvtests.sim import ScenarioConfig, run_scenario\n"
+            "cfg = ScenarioConfig(name='exit', k=2, d=2, n=(10, 10), distribution='normal', rho=0.1,\n"
+            "                     mu=(2.0, 1.0), targets=(0.5, 0.5), variant=McvVariant.VV,\n"
+            "                     replicates=4, resamples=8)\n"
+            "run_scenario(cfg, workers=2)\n"
+            "print(*(p.pid for p in multiprocessing.active_children()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]))
+        env.pop("MCV_THREADS", None)
+        proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        workers = [int(pid) for pid in proc.stdout.split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0
+        while workers and time.monotonic() < deadline:
+            workers = [pid for pid in workers if _alive(pid)]
+            time.sleep(0.05)
+        assert workers == []
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _engine_spec(k, variant, seed=21):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from mcvtests._resampling import pooled_resample_estimates
-from mcvtests.design import tukey_contrasts, validate_contrast
+from mcvtests.design import ContrastMatrix, tukey_contrasts, validate_contrast
 from mcvtests.estimation import DegeneracyError, McvVariant, _estimate_array
 from mcvtests.numkit import make_rng, sym_sqrt
 from mcvtests.tests_global import GroupedData, Target, group_estimates, wald_statistic
@@ -206,6 +206,58 @@ class TestBootstrapMct:
         res = bootstrap_mct(VV_C, data, np.array([[-1.0, 1.0]]), 0.05, 300, make_rng(9))
         assert res.resamples_degenerate > 0
         assert res.resamples_used == 300
+
+
+
+class TestGroupRelabelEquivariance:
+    """Permuting the groups with the contrast columns (rows and labels kept)
+    leaves each contrast's estimate, standard error and t statistic in place."""
+
+    PERM = [2, 0, 3, 1]
+
+    def pair(self, run, kind, variant):
+        rng = np.random.default_rng(31)
+        arrays = [
+            2.0 + s * rng.standard_normal((n, 3))
+            for n, s in zip((14, 18, 16, 20), (1.0, 1.5, 0.8, 2.2))
+        ]
+        cm = tukey_contrasts(4, ("a", "b", "c", "d"))
+        relabelled = ContrastMatrix(cm.h[:, self.PERM], cm.labels)
+        target = Target(kind, variant)
+        return (
+            run(target, GroupedData.from_arrays(arrays), cm),
+            run(target, GroupedData.from_arrays([arrays[i] for i in self.PERM]), relabelled),
+        )
+
+    @staticmethod
+    def assert_same_contrasts(res, res_p):
+        assert res_p.labels == res.labels
+        np.testing.assert_allclose(res_p.estimates, res.estimates, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res_p.t, res.t, rtol=1e-12, atol=0)
+        # The standard error of estimate l is estimate_l / t_l.
+        np.testing.assert_allclose(res_p.estimates / res_p.t, res.estimates / res.t, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["c", "b"])
+    @pytest.mark.parametrize("variant", list(McvVariant))
+    def test_asymptotic(self, variant, kind):
+        res, res_p = self.pair(
+            lambda *a: asymptotic_mct(*a, alpha=0.05, mc_draws=20_000, rng=make_rng(5)), kind, variant
+        )
+        self.assert_same_contrasts(res, res_p)
+        # The MC draws are the same, but sym_sqrt of the rank-deficient
+        # correlation turns its last-bit changes into ~1e-9 of the critical value.
+        assert res_p.critical_value == pytest.approx(res.critical_value, rel=1e-8)
+        np.testing.assert_array_equal(res_p.decisions, res.decisions)
+
+    @pytest.mark.parametrize("kind", ["c", "b"])
+    @pytest.mark.parametrize("variant", list(McvVariant))
+    def test_bootstrap(self, variant, kind):
+        # Critical values are not compared: the permuted groups reorder the
+        # pooled sample, so the bootstrap draws differ.
+        res, res_p = self.pair(
+            lambda *a: bootstrap_mct(*a, alpha=0.05, resamples=100, rng=make_rng(5)), kind, variant
+        )
+        self.assert_same_contrasts(res, res_p)
 
 
 class TestGlobalP:
