@@ -399,22 +399,32 @@ def _close_pool() -> None:
     _pool = None
 
 
+def _pool_map(tasks: list[tuple[_EngineSpec, int]], workers: int, chunk: int) -> list[dict]:
+    """Run ``tasks`` in order on the process's pool; a pool that breaks is dropped."""
+    try:
+        return [res for _, res in _worker_pool(workers).map(_replicate_worker, tasks, chunksize=chunk)]
+    except BrokenProcessPool:
+        _close_pool()
+        raise
+
+
 def _run_engine(es: _EngineSpec, replicates: int, workers: int | None) -> list[dict]:
     workers = worker_count(workers)
+    if workers <= 1 or replicates <= 1:
+        return [_run_replicate(es, r) for r in range(replicates)]
     tasks = [(es, r) for r in range(replicates)]
-    results: list[dict | None] = [None] * replicates
-    if workers > 1 and replicates > 1:
-        chunk = max(1, replicates // (workers * 8))
-        try:
-            for r, res in _worker_pool(workers).map(_replicate_worker, tasks, chunksize=chunk):
-                results[r] = res
-        except BrokenProcessPool:
-            _close_pool()  # a worker died; the next run starts a new pool
+    chunk = max(1, replicates // (workers * 8))
+    reused = _pool is not None and _pool[:2] == (os.getpid(), workers)
+    try:
+        return _pool_map(tasks, workers, chunk)
+    except BrokenProcessPool:
+        if not reused:
             raise
-    else:
-        for r in range(replicates):
-            results[r] = _run_replicate(es, r)
-    return results  # type: ignore[return-value]
+    # A worker of the pool an earlier call made may have died while the pool
+    # sat idle (killed by the OOM killer, say).  Replicates are keyed by
+    # (seed, r), so a rerun on a new pool gives the same rows; if that pool
+    # breaks too, the error is raised.
+    return _pool_map(tasks, workers, chunk)
 
 
 def _aggregate(

@@ -388,15 +388,20 @@ class TestWorkerPool:
         with pytest.raises(RuntimeError, match="shutdown"):
             pool_builds[0].submit(os.getpid)
 
-    def test_a_killed_worker_costs_at_most_one_call(self, pool_builds):
+    def test_a_worker_killed_between_calls_fails_no_call(self, pool_builds):
         expected = self.rows(2)
         os.kill(pool_builds[0].submit(os.getpid).result(), signal.SIGKILL)
-        try:
-            rows = self.rows(2)
-        except BrokenProcessPool:
-            rows = self.rows(2)
-        assert rows == expected
-        assert len(pool_builds) <= 2
+        assert self.rows(2) == expected
+        assert len(pool_builds) == 2
+        assert self.rows(2) == expected
+        assert len(pool_builds) == 2
+
+    def test_a_pool_that_breaks_in_its_first_call_raises(self, pool_builds, monkeypatch):
+        monkeypatch.setattr(sim, "_replicate_worker", _die)
+        with pytest.raises(BrokenProcessPool):
+            self.rows(2)
+        assert sim._pool is None
+        assert len(pool_builds) == 1
 
     def test_a_forked_child_makes_its_own_pool(self, pool_builds):
         expected = self.rows(2)
@@ -438,6 +443,10 @@ class TestWorkerPool:
             workers = [pid for pid in workers if _alive(pid)]
             time.sleep(0.05)
         assert workers == []
+
+
+def _die(args):
+    os._exit(1)
 
 
 def _alive(pid: int) -> bool:
