@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkit import check_alpha, normal_quantile, numeric_rank
+from .numkit import RANK_SCREEN, check_alpha, normal_quantile, numeric_rank
 
 __all__ = [
     "DegeneracyError",
@@ -349,6 +349,29 @@ def degeneracy_reason(variant: McvVariant, code: int) -> str:
     return _REASONS[code].format(variant=variant.value)
 
 
+def _rank_deficient(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``numeric_rank(cov) < d`` for a (B, d, d) stack of covariances, and their inverses.
+
+    A slice whose inverse gives 1/||S^-1||_F > RANK_SCREEN * eps * d * trace S
+    has full rank: lambda_min >= 1/||S^-1||_F and sigma_max <= trace S, so its
+    smallest eigenvalue clears numeric_rank's cut-off eps * d * sigma_max by
+    the screen's margin.  Only the slices this bound does not settle go to
+    ``numeric_rank``, and the whole stack when ``inv`` finds an exactly
+    singular slice; the inverse is then None.
+    """
+    d = cov.shape[-1]
+    try:
+        inv = np.linalg.inv(cov)
+    except np.linalg.LinAlgError:
+        return numeric_rank(cov) < d, None
+    bound = RANK_SCREEN * np.finfo(float).eps * d * np.einsum("bii->b", cov)
+    unclear = ~(1.0 / np.sqrt(np.einsum("bij,bij->b", inv, inv)) > bound)
+    singular = np.zeros(cov.shape[0], dtype=bool)
+    if unclear.any():
+        singular[unclear] = numeric_rank(cov[unclear]) < d
+    return singular, inv
+
+
 def _estimate_stack(variant: McvVariant, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimates for every sample of a (B, n, d) stack.
 
@@ -387,15 +410,20 @@ def _estimate_stack(variant: McvVariant, x: np.ndarray) -> tuple[np.ndarray, np.
         # never see a singular matrix; their rows end up NaN.
         q = np.where(code == _OK, q, 1.0)
         if variant in (McvVariant.RR, McvVariant.VN):
-            flag(numeric_rank(cov) < d, _SINGULAR)
-            cov = np.where((code == _OK)[:, None, None], cov, np.eye(d))
+            singular, inv = _rank_deficient(cov)
+            flag(singular, _SINGULAR)
+            if not (code == _OK).all():
+                cov = np.where((code == _OK)[:, None, None], cov, np.eye(d))
+                inv = None
         if variant is McvVariant.RR:
             sign, logdet = np.linalg.slogdet(cov)
             flag(sign <= 0.0, _DET)
             c = np.exp(logdet / (2.0 * d) - 0.5 * np.log(q))
             g0 = -(c / q)[:, None] * mean
             # G = c S^-1 / (2d).
-            quad_rows = np.einsum("bni,bni->bn", xc @ np.linalg.inv(cov), xc)
+            if inv is None:
+                inv = np.linalg.inv(cov)
+            quad_rows = np.einsum("bni,bni->bn", xc @ inv, xc)
             infl = rowdot(g0) + (c / (2.0 * d))[:, None] * quad_rows
         elif variant is McvVariant.VV:
             tr = np.einsum("bii->b", cov)
