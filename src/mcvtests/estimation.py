@@ -412,15 +412,14 @@ def _estimate_stack(variant: McvVariant, x: np.ndarray) -> tuple[np.ndarray, np.
         if variant in (McvVariant.RR, McvVariant.VN):
             singular, inv = _rank_deficient(cov)
             flag(singular, _SINGULAR)
-            if not (code == _OK).all():
-                cov = np.where((code == _OK)[:, None, None], cov, np.eye(d))
-                inv = None
+            cov = np.where((code == _OK)[:, None, None], cov, np.eye(d))
         if variant is McvVariant.RR:
             sign, logdet = np.linalg.slogdet(cov)
             flag(sign <= 0.0, _DET)
             c = np.exp(logdet / (2.0 * d) - 0.5 * np.log(q))
             g0 = -(c / q)[:, None] * mean
-            # G = c S^-1 / (2d).
+            # G = c S^-1 / (2d).  Every stacked step works slice by slice and
+            # flagged rows end up NaN, so the rank check's inverse serves as is.
             if inv is None:
                 inv = np.linalg.inv(cov)
             quad_rows = np.einsum("bni,bni->bn", xc @ inv, xc)

@@ -9,11 +9,15 @@ seeds every resample's stream on its own.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from mcvtests import _resampling
+from mcvtests import _resampling, estimation
 from mcvtests._resampling import (
     pooled_resample_estimates,
     value_columns,
@@ -138,14 +142,25 @@ class TestKernelAgainstQuadraticForm:
         singular = variant in (McvVariant.RR, McvVariant.VN)
         assert (code[2] != 0) == singular and (code[3] != 0) == singular
 
-    def test_mask_does_not_leak_across_slices(self):
+    @pytest.mark.parametrize("variant", [McvVariant.RR, McvVariant.VN])
+    @pytest.mark.parametrize("masked", ["zeros", "zero_mean"])
+    def test_mask_does_not_leak_across_slices(self, variant, masked):
+        # A sample of zeros has a singular covariance, so the rank check's
+        # inv fails and rr inverts the masked stack afresh; an exactly zero
+        # mean masks a slice whose covariance is regular, so rr reuses the
+        # rank check's inverse with a masked slice in it.  Alone, nothing is
+        # masked.
         rng = np.random.default_rng(4)
         x = draw_groups(rng, 3, 20, 3)
-        alone, _ = _estimate_stack(McvVariant.RR, x[:1])
-        x[1] = 0.0
-        mixed, code = _estimate_stack(McvVariant.RR, x)
+        alone = [_estimate_stack(variant, x[j : j + 1])[0][0] for j in (0, 2)]
+        if masked == "zeros":
+            x[1] = 0.0
+        else:
+            half = rng.integers(-5, 6, size=(10, 3)).astype(float)
+            x[1] = np.vstack([half, -half])
+        mixed, code = _estimate_stack(variant, x)
         assert list(code != 0) == [False, True, False]
-        np.testing.assert_array_equal(mixed[0], alone[0])
+        np.testing.assert_array_equal(mixed[[0, 2]], alone)
 
     def test_slow_path_overflow_is_a_degeneracy(self):
         # s_factor(rr) carries c ** (2 - 4d), which overflows a float for
@@ -156,6 +171,87 @@ class TestKernelAgainstQuadraticForm:
             asymptotic_variance(McvVariant.RR, sample_moments(Sample(x)))
         out, code = _estimate_stack(McvVariant.RR, x[None])
         assert code[0] == 0 and np.isfinite(out).all()
+
+
+def numeric_rank_branch(variant, x):
+    """``_estimate_stack`` with every covariance's rank taken by ``numeric_rank``
+    and rr's inverse formed afresh: the kernel as it was before the inverse
+    bound."""
+    def rank_only(cov):
+        return numeric_rank(cov) < cov.shape[-1], None
+
+    with mock.patch.object(estimation, "_rank_deficient", rank_only):
+        return _estimate_stack(variant, x)
+
+
+@st.composite
+def exact_rank_stacks(draw):
+    """(B, n, d) stacks of integer rows of exact rank r (r = 0 gives a constant
+    sample), under a common scale that keeps every rank."""
+    d, n, count = draw(st.integers(1, 6)), draw(st.integers(2, 12)), draw(st.integers(1, 5))
+    ints = st.integers(-3, 3)
+    slices = []
+    for _ in range(count):
+        r = draw(st.integers(0, d))
+        z = draw(hnp.arrays(np.int64, (n, r), elements=ints))
+        basis = draw(hnp.arrays(np.int64, (r, d), elements=ints))
+        offset = draw(hnp.arrays(np.int64, d, elements=st.integers(-5, 5)))
+        slices.append(z @ basis + offset)
+    return draw(st.sampled_from([1.0, 1e-30, 3.7e20])) * np.stack(slices).astype(float)
+
+
+class TestRankFromInverse:
+    """The inverse bound settles full rank; what it leaves open goes to
+    numeric_rank, and rows and codes stay bit for bit those of the kernel
+    that took every rank from numeric_rank."""
+
+    @given(exact_rank_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_rank_stacks_match_the_numeric_rank_branch(self, x):
+        for variant in (McvVariant.RR, McvVariant.VN):
+            out, code = _estimate_stack(variant, x)
+            want, want_code = numeric_rank_branch(variant, x)
+            np.testing.assert_array_equal(code, want_code)
+            np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("variant", [McvVariant.RR, McvVariant.VN])
+    def test_well_conditioned_stacks_skip_eigvalsh_and_svd(self, monkeypatch, variant):
+        calls = []
+        for name in ("eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda *a, _name=name, _f=original, **kw: calls.append(_name) or _f(*a, **kw),
+            )
+        x = np.random.default_rng(3).standard_normal((16, 40, 5))
+        _, code = _estimate_stack(variant, x)
+        assert not code.any() and calls == []
+
+    @pytest.mark.parametrize("variant", [McvVariant.RR, McvVariant.VN])
+    def test_only_unsettled_slices_reach_numeric_rank(self, monkeypatch, variant):
+        seen = []
+        monkeypatch.setattr(
+            estimation, "numeric_rank", lambda cov: seen.append(cov.shape[0]) or numeric_rank(cov)
+        )
+        rng = np.random.default_rng(6)
+        x = draw_groups(rng, 6, 40, 5)
+        # Near-collinear: regular, but too close to the cut-off for the bound.
+        x[2, :, 1] = x[2, :, 0] + 1e-7 * rng.standard_normal(40)
+        regular = np.delete(x, 4, axis=0)
+        out, code = _estimate_stack(variant, regular)
+        assert seen == [1] and not code.any()
+        want, want_code = numeric_rank_branch(variant, regular)
+        np.testing.assert_array_equal(code, want_code)
+        np.testing.assert_array_equal(out, want)
+        # Equal columns: an exactly singular slice, on which inv fails, so
+        # the whole stack goes to numeric_rank.
+        seen.clear()
+        x[4, :, 3] = x[4, :, 0]
+        out, code = _estimate_stack(variant, x)
+        assert seen == [6] and list(code != 0) == [False] * 4 + [True, False]
+        want, want_code = numeric_rank_branch(variant, x)
+        np.testing.assert_array_equal(code, want_code)
+        np.testing.assert_array_equal(out, want)
 
 
 def loop_wald(stats, degenerate, kind, h, n, weights):
