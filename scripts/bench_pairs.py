@@ -110,7 +110,8 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], args) -> dict:
                           f"--seconds {args.seconds:g} --trace 0",
             "order": f"{args.pairs} pairs; parent and change alternate (even seeds parent first, "
                      "odd seeds change first); each side runs from a git archive of its commit",
-            "script": " ".join(["python3 scripts/bench_pairs.py"] + sys.argv[1:]),
+            "script": f"python3 scripts/bench_pairs.py --parent {args.parent} --change {args.change} "
+                      f"--pairs {args.pairs} --seconds {args.seconds:g} --out {args.out.name}",
         },
         "machine": {k: first[k] for k in ("nproc", "cpu_model", "python", "numpy", "scipy",
                                           "blas", "blas_thread_env")},
@@ -123,18 +124,20 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], args) -> dict:
     }
     for name in workloads:
         out["end_to_end"][name] = {
-            metric: compare(*(series(s, name, lambda r, s_, m=metric: s_["metrics"][m]["value"])
-                              for s in SIDES), better[metric])
+            metric: compare(
+                *(series(s, name, lambda rec, summ, m=metric: summ["metrics"][m]["value"])
+                  for s in SIDES),
+                better[metric])
             for metric in better
         }
         out["measured_throughput_per_s"][name] = compare(
-            *(series(s, name, lambda r, s_: r["measured"]["throughput_per_s"]) for s in SIDES),
+            *(series(s, name, lambda rec, summ: rec["measured"]["throughput_per_s"]) for s in SIDES),
             "higher")
         out["correct"][name] = {
-            s: all(series(s, name, lambda r, s_: s_["correct"])) for s in SIDES
-        } | {"failed_ops": {s: sum(series(s, name, lambda r, s_: s_["failed"])) for s in SIDES}}
+            s: all(series(s, name, lambda rec, summ: summ["correct"])) for s in SIDES
+        } | {"failed_ops": {s: sum(series(s, name, lambda rec, summ: summ["failed"])) for s in SIDES}}
     if "cli-inference" in workloads:
-        per_run = {s: series(s, "cli-inference", lambda r, s_: variant_medians(r)) for s in SIDES}
+        per_run = {s: series(s, "cli-inference", lambda rec, summ: variant_medians(rec)) for s in SIDES}
         by_variant = {"what": "per run, the median scaled latency (ms) of each class and variant "
                               "from the run record's class_samples_scaled_ms; then as above"}
         for cls, variants in per_run["parent"][0].items():

@@ -165,6 +165,9 @@ def numeric_rank(a: np.ndarray, tol: float | None = None) -> int | np.ndarray:
     SVD's, so they settle only a rank they leave in no doubt: a matrix with
     an eigenvalue within RANK_SCREEN times the cut-off gets the SVD's count.
     A single matrix always takes the SVD, which costs less than the screen.
+    The resampled covariances of the estimation kernel reach this function
+    only when a bound from their inverse leaves their rank open (see
+    ``estimation._rank_deficient``).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:

@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcvtests import cli
 from mcvtests.cli import (
@@ -529,3 +535,58 @@ class TestExitCodeSweep:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT, err
         assert "Traceback" not in err
+
+
+# Column kinds the fuzzer mixes: regular noise, a constant, a copy of the
+# first column, the first column plus 1e-9 noise, and values near the ends of
+# the float range.
+_FUZZ_COLUMNS = ("normal", "constant", "duplicate", "near_collinear", "tiny", "huge")
+_FUZZ_COMMANDS = (
+    ["test", "--method", "permutation"],
+    ["test", "--method", "bootstrap"],
+    ["mct", "--method", "bootstrap"],
+)
+
+
+@st.composite
+def fuzz_group_rows(draw):
+    """CSV rows (group label, then d values) of 2-4 groups of 2-12 rows each."""
+    k, d = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(2, 12), min_size=k, max_size=k))
+    kinds = draw(st.lists(st.sampled_from(_FUZZ_COLUMNS), min_size=d, max_size=d))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 1.0 + gen.standard_normal((sum(sizes), d))
+    for j, kind in enumerate(kinds):
+        if kind == "constant":
+            x[:, j] = 2.5
+        elif kind == "duplicate":
+            x[:, j] = x[:, 0]
+        elif kind == "near_collinear":
+            x[:, j] = x[:, 0] + 1e-9 * gen.standard_normal(len(x))
+        elif kind == "tiny":
+            x[:, j] *= 1e-250
+        elif kind == "huge":
+            x[:, j] *= 1e250
+    labels = np.repeat([f"g{g}" for g in range(k)], sizes)
+    return [[label, *map(repr, row.tolist())] for label, row in zip(labels, x)], d
+
+
+class TestCliFuzz:
+    """Degenerate columns through the resampled rr and vn paths end in 0, 2 or 3."""
+
+    @given(fuzz_group_rows(), st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_resampling_commands_exit_cleanly(self, data, seed):
+        rows, d = data
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "groups.csv")
+            write_csv(path, ["group"] + [f"x{j + 1}" for j in range(d)], rows)
+            for command in _FUZZ_COMMANDS:
+                for variant in ("rr", "vn"):
+                    argv = [command[0], path, *command[1:], "--variant", variant, "--B", "20",
+                            "--seed", str(seed), "--out", os.path.join(tmp, "r.json")]
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err):
+                        code = main(argv)
+                    assert code in (EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE), (argv, err.getvalue())
+                    assert "Traceback" not in err.getvalue()
