@@ -1,12 +1,13 @@
 """Alternating benchmark pairs of two commits, written as one BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent <rev> --out BENCH_7.json [--change HEAD]
-        [--pairs 10] [--seconds 30] [--what "one line on the change"]
+        [--what "one line on the change"]
 
 Each side runs from its own ``git archive`` of its commit in a temporary
-directory, so neither sees uncommitted files.  Pair i runs
+directory, so neither sees uncommitted files.  Pair i of PAIRS runs
 ``python3 perfbench/run.py --workload all --seed i --seconds S --trace 0`` on
-both sides, the parent first in even pairs and the change first in odd ones.
+both sides, with S the ``run_seconds`` of BENCHMARK.json, the parent first in
+even pairs and the change first in odd ones.
 Nothing under ``perfbench/`` is edited; the run records each side writes to
 its own ``.perfbench/`` are read back for the figures as measured and for the
 per-variant ``cli-inference`` latencies.  Run it on an otherwise idle machine.
@@ -30,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # variant VARIANTS[(i + j) % 4].
 VARIANTS = ("rr", "vv", "vn", "az")
 SIDES = ("parent", "change")
+# Pairs per comparison: a gain is claimed only on at least nine of ten.
+PAIRS = 10
 
 
 def archive(rev: str, into: Path) -> str:
@@ -93,8 +96,7 @@ def variant_medians(record: dict) -> dict[str, dict[str, float]]:
     return out
 
 
-def build(runs: dict[str, list[dict]], commits: dict[str, str], args) -> dict:
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+def build(runs: dict[str, list[dict]], commits: dict[str, str], declared: dict, args) -> dict:
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     workloads = list(runs["parent"][0]["summary"])
     first = runs["change"][0]["records"][workloads[0]]["meta"]
@@ -106,12 +108,12 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], args) -> dict:
         "what": args.what,
         "commits": commits,
         "commands": {
-            "end_to_end": f"python3 perfbench/run.py --workload all --seed {{0..{args.pairs - 1}}} "
-                          f"--seconds {args.seconds:g} --trace 0",
-            "order": f"{args.pairs} pairs; parent and change alternate (even seeds parent first, "
+            "end_to_end": f"python3 perfbench/run.py --workload all --seed {{0..{PAIRS - 1}}} "
+                          f"--seconds {declared['run_seconds']:g} --trace 0",
+            "order": f"{PAIRS} pairs; parent and change alternate (even seeds parent first, "
                      "odd seeds change first); each side runs from a git archive of its commit",
             "script": f"python3 scripts/bench_pairs.py --parent {args.parent} --change {args.change} "
-                      f"--pairs {args.pairs} --seconds {args.seconds:g} --out {args.out.name}",
+                      f"--out {args.out.name}",
         },
         "machine": {k: first[k] for k in ("nproc", "cpu_model", "python", "numpy", "scipy",
                                           "blas", "blas_thread_env")},
@@ -153,22 +155,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit measured as the parent")
     parser.add_argument("--change", default="HEAD", help="commit measured as the change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs must be at least 1 and --seconds positive")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {s: Path(tmp) / s for s in SIDES}
         commits = {s: archive(getattr(args, s), trees[s]) for s in SIDES}
         runs: dict[str, list[dict]] = {s: [] for s in SIDES}
-        for seed in range(args.pairs):
+        for seed in range(PAIRS):
             for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
                 print(f"# pair {seed}: {side}", file=sys.stderr, flush=True)
-                runs[side].append(run_side(trees[side], seed, args.seconds))
-        result = build(runs, commits, args)
+                runs[side].append(run_side(trees[side], seed, declared["run_seconds"]))
+        result = build(runs, commits, declared, args)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"# wrote {args.out}", file=sys.stderr)
     return 0

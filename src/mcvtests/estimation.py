@@ -359,19 +359,32 @@ def _rank_deficient(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     has full rank: lambda_min >= 1/||S^-1||_F and sigma_max <= trace S, so its
     smallest eigenvalue clears numeric_rank's cut-off eps * d * sigma_max by
     the screen's margin.  Only the slices this bound does not settle go to
-    ``numeric_rank``, and the whole stack when ``inv`` finds an exactly
-    singular slice; the inverse is then None.
+    ``numeric_rank``, exactly singular ones (a zero LU pivot) among them.
+    The inverse is None when a zero-pivot slice has full numeric rank.
     """
     d = cov.shape[-1]
+    exact = None
     try:
         inv = np.linalg.inv(cov)
     except np.linalg.LinAlgError:
-        return numeric_rank(cov) < d, None
+        # Some slice has an exactly zero LU pivot.  slogdet's sign finds
+        # those slices without raising; the others are inverted alone (inv
+        # works slice by slice, so to the same bits), and the zero-pivot
+        # slices keep a NaN inverse, which leaves them to numeric_rank.
+        exact = np.linalg.slogdet(cov)[0] == 0.0
+        inv = np.full_like(cov, np.nan)
+        try:
+            inv[~exact] = np.linalg.inv(cov[~exact])
+        except np.linalg.LinAlgError:
+            return numeric_rank(cov) < d, None
     bound = RANK_SCREEN * np.finfo(float).eps * d * np.einsum("bii->b", cov)
     unclear = ~(1.0 / np.sqrt(np.einsum("bij,bij->b", inv, inv)) > bound)
     singular = np.zeros(cov.shape[0], dtype=bool)
     if unclear.any():
         singular[unclear] = numeric_rank(cov[unclear]) < d
+    if exact is not None and not singular[exact].all():
+        # A zero-pivot slice of full numeric rank has no inverse to reuse.
+        return singular, None
     return singular, inv
 
 

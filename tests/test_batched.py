@@ -243,15 +243,38 @@ class TestRankFromInverse:
         want, want_code = numeric_rank_branch(variant, regular)
         np.testing.assert_array_equal(code, want_code)
         np.testing.assert_array_equal(out, want)
-        # Equal columns: an exactly singular slice, on which inv fails, so
-        # the whole stack goes to numeric_rank.
+        # Equal columns: an exactly singular slice, on which inv fails; it
+        # joins the near-collinear one, and the others are still inverted.
         seen.clear()
         x[4, :, 3] = x[4, :, 0]
         out, code = _estimate_stack(variant, x)
-        assert seen == [6] and list(code != 0) == [False] * 4 + [True, False]
+        assert seen == [2] and list(code != 0) == [False] * 4 + [True, False]
         want, want_code = numeric_rank_branch(variant, x)
         np.testing.assert_array_equal(code, want_code)
         np.testing.assert_array_equal(out, want)
+
+    def test_exactly_singular_slices_fall_back_when_their_inverse_is_missing(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = draw_groups(rng, 4, 30, 4)
+        x[1, :, 2] = x[1, :, 0]
+        xc = x - x.mean(axis=1, keepdims=True)
+        cov = xc.transpose(0, 2, 1) @ xc
+        singular, inv = estimation._rank_deficient(cov)
+        assert list(singular) == [False, True, False, False] and inv is not None
+        np.testing.assert_array_equal(inv[[0, 2, 3]], np.linalg.inv(cov[[0, 2, 3]]))
+        # A zero-pivot slice that numeric_rank finds regular leaves no
+        # inverse to reuse.
+        monkeypatch.setattr(estimation, "numeric_rank", lambda a: np.full(len(a), a.shape[-1]))
+        singular, inv = estimation._rank_deficient(cov)
+        assert not singular.any() and inv is None
+        # If slogdet missed the zero pivot, the whole stack goes to numeric_rank.
+        seen = []
+        monkeypatch.setattr(
+            estimation, "numeric_rank", lambda a: seen.append(len(a)) or numeric_rank(a)
+        )
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (np.ones(len(a)), np.zeros(len(a))))
+        singular, inv = estimation._rank_deficient(cov)
+        assert seen == [4] and list(singular) == [False, True, False, False] and inv is None
 
 
 def loop_wald(stats, degenerate, kind, h, n, weights):
