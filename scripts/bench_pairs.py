@@ -1,22 +1,28 @@
 """Alternating benchmark pairs of two commits, written as one BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py --parent <rev> --out BENCH_7.json [--change HEAD]
-        [--what "one line on the change"]
+    python3 scripts/bench_pairs.py --parent <rev> --out BENCH_8.json [--change HEAD]
+        [--first-seed 0] [--what "one line on the change"]
 
 Each side runs from its own ``git archive`` of its commit in a temporary
 directory, so neither sees uncommitted files.  Pair i of PAIRS runs
-``python3 perfbench/run.py --workload all --seed i --seconds S --trace 0`` on
-both sides, with S the ``run_seconds`` of BENCHMARK.json, the parent first in
-even pairs and the change first in odd ones.
+``python3 perfbench/run.py --workload all --seed F+i --seconds S --trace 0``
+on both sides, with F the first seed and S the ``run_seconds`` of
+BENCHMARK.json, the parent first in even pairs and the change first in odd
+ones.  A first seed past those used while a change was written shows that
+its gain holds on fresh inputs (perfbench/refs.json covers seeds 0-31).
 Nothing under ``perfbench/`` is edited; the run records each side writes to
 its own ``.perfbench/`` are read back for the figures as measured and for the
-per-variant ``cli-inference`` latencies.  Run it on an otherwise idle machine.
+per-variant ``cli-inference`` latencies.  Each run's minor page faults are
+the growth of this process's RUSAGE_CHILDREN count across the run, so they
+cover the run and every process it reaped (simulation workers included).
+Run it on an otherwise idle machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -51,10 +57,13 @@ def archive(rev: str, into: Path) -> str:
 
 
 def run_side(tree: Path, seed: int, seconds: float) -> dict:
-    """One ``--workload all`` run: its summary line and every workload's run record."""
+    """One ``--workload all`` run: its summary line, every workload's run record
+    and the minor page faults of the run's processes."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -62,7 +71,7 @@ def run_side(tree: Path, seed: int, seconds: float) -> dict:
         name: json.loads((tree / ".perfbench" / f"{name}-seed{seed}-trace0.json").read_text())
         for name in summary
     }
-    return {"summary": summary, "records": records}
+    return {"summary": summary, "records": records, "minor_faults": faults}
 
 
 def compare(parent: list[float], change: list[float], better: str) -> dict:
@@ -104,16 +113,17 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], declared: dict, 
     def series(side, name, pick):
         return [pick(r["records"][name], r["summary"][name]) for r in runs[side]]
 
+    seeds = f"{{{args.first_seed}..{args.first_seed + PAIRS - 1}}}"
     out = {
         "what": args.what,
         "commits": commits,
         "commands": {
-            "end_to_end": f"python3 perfbench/run.py --workload all --seed {{0..{PAIRS - 1}}} "
+            "end_to_end": f"python3 perfbench/run.py --workload all --seed {seeds} "
                           f"--seconds {declared['run_seconds']:g} --trace 0",
-            "order": f"{PAIRS} pairs; parent and change alternate (even seeds parent first, "
-                     "odd seeds change first); each side runs from a git archive of its commit",
+            "order": f"{PAIRS} pairs; parent and change alternate (even pairs parent first, "
+                     "odd pairs change first); each side runs from a git archive of its commit",
             "script": f"python3 scripts/bench_pairs.py --parent {args.parent} --change {args.change} "
-                      f"--out {args.out.name}",
+                      f"--first-seed {args.first_seed} --out {args.out.name}",
         },
         "machine": {k: first[k] for k in ("nproc", "cpu_model", "python", "numpy", "scipy",
                                           "blas", "blas_thread_env")},
@@ -123,6 +133,12 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], declared: dict, 
                     "reference speed by the calibration blocks",
         },
         "correct": {},
+        "minor_page_faults": {
+            "what": "minor page faults of each whole --workload all run (every workload, set-up "
+                    "and checks, and the processes it reaped), as the RUSAGE_CHILDREN growth "
+                    "across the run; a faster side also completes more operations",
+            **compare(*([r["minor_faults"] for r in runs[s]] for s in SIDES), "lower"),
+        },
     }
     for name in workloads:
         out["end_to_end"][name] = {
@@ -156,6 +172,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="commit measured as the parent")
     parser.add_argument("--change", default="HEAD", help="commit measured as the change")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--first-seed", type=int, default=0,
+                        help="workload seed of the first pair; pair i runs seed first-seed + i")
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -163,9 +181,10 @@ def main(argv: list[str] | None = None) -> int:
         trees = {s: Path(tmp) / s for s in SIDES}
         commits = {s: archive(getattr(args, s), trees[s]) for s in SIDES}
         runs: dict[str, list[dict]] = {s: [] for s in SIDES}
-        for seed in range(PAIRS):
-            for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
-                print(f"# pair {seed}: {side}", file=sys.stderr, flush=True)
+        for i in range(PAIRS):
+            seed = args.first_seed + i
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                print(f"# pair {i} (seed {seed}): {side}", file=sys.stderr, flush=True)
                 runs[side].append(run_side(trees[side], seed, declared["run_seconds"]))
         result = build(runs, commits, declared, args)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")

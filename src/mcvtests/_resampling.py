@@ -61,21 +61,33 @@ def pooled_resample_estimates(
     boolean mask of degenerate resamples (those stay NaN in the array).
     Resamples are estimated RESAMPLE_CHUNK at a time, group by group, as one
     (chunk, n_i, d) stack.
+
+    The index array, the gather buffer and the kernel's workspace are
+    allocated once per call, sized for the largest group, and reused by every
+    chunk and group; a group's stack is the contiguous prefix of the gather
+    buffer.  Fresh megabyte-sized temporaries per stack would be handed back
+    to the system on every free and faulted in again on the next call.
     """
-    n = pool.shape[0]
+    n, d = pool.shape
     k = len(sizes)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     out = np.empty((resamples, k, 4))
     codes = np.zeros((resamples, k), dtype=np.int8)
+    chunk = min(RESAMPLE_CHUNK, resamples)
+    idx = np.empty((chunk, n), dtype=np.intp)
+    gathered = np.empty(chunk * max(sizes) * d)
+    work = np.empty(2 * gathered.size)
     for start in range(0, resamples, RESAMPLE_CHUNK):
         stop = min(start + RESAMPLE_CHUNK, resamples)
-        idx = np.empty((stop - start, n), dtype=np.intp)
+        m = stop - start
         for j, gen in enumerate(rng.substream_generators(start, stop)):
             idx[j] = gen.integers(0, n, size=n) if replace else gen.permutation(n)
         for i in range(k):
-            out[start:stop, i], codes[start:stop, i] = _estimate_stack(
-                variant, pool[idx[:, bounds[i] : bounds[i + 1]]]
-            )
+            stack = gathered[: m * sizes[i] * d].reshape(m, sizes[i], d)
+            # Every index lies in [0, n), so "clip" never clips; unlike
+            # "raise" it lets np.take write straight into the buffer.
+            np.take(pool, idx[:m, bounds[i] : bounds[i + 1]], axis=0, out=stack, mode="clip")
+            out[start:stop, i], codes[start:stop, i] = _estimate_stack(variant, stack, work)
     degenerate = codes.any(axis=1)
     out[degenerate] = np.nan
     return out, degenerate

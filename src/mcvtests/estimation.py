@@ -388,7 +388,17 @@ def _rank_deficient(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return singular, inv
 
 
-def _estimate_stack(variant: McvVariant, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _workspace_slot(work: np.ndarray | None, slot: int, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Slot ``slot`` of a flat workspace as a contiguous array of ``shape``; None without one."""
+    if work is None:
+        return None
+    size = math.prod(shape)
+    return work[slot * size : (slot + 1) * size].reshape(shape)
+
+
+def _estimate_stack(
+    variant: McvVariant, x: np.ndarray, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Estimates for every sample of a (B, n, d) stack.
 
     Returns a (B, 4) array of (c, b, var_c, var_b) rows and a (B,) array of
@@ -398,6 +408,13 @@ def _estimate_stack(variant: McvVariant, x: np.ndarray) -> tuple[np.ndarray, np.
     second moment.  Written in centered rows xc_i it reads g0 . xc_i +
     xc_i' G xc_i, where g0 is the gradient with respect to the mean at a
     fixed covariance; that form avoids cancellation against the mean.
+
+    ``work``, if given, is a flat float64 array of at least 2 B n d entries
+    that the kernel overwrites in place of allocating its two (B, n, d)
+    temporaries: the rescaled and centred stack, and rr's ``xc S^-1``.  A
+    caller that estimates many stacks passes the same one each time, so the
+    memory is not returned to the system and faulted in again per call.
+    ``x`` itself is never written.
     """
     bsz, n, d = x.shape
     if n < 2:
@@ -414,10 +431,11 @@ def _estimate_stack(variant: McvVariant, x: np.ndarray) -> tuple[np.ndarray, np.
         # Every output is scale-free.  Scaling each sample by a power of two
         # (exact) so its largest entry lies in [0.5, 1) keeps the moments in
         # range whatever the units of the data.
-        _, expo = np.frexp(np.abs(x).max(axis=(1, 2)))
-        x = np.ldexp(x, -expo[:, None, None])
+        # max(max x, -min x) is max |x| exactly, NaN included, without |x|.
+        _, expo = np.frexp(np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2))))
+        x = np.ldexp(x, -expo[:, None, None], out=_workspace_slot(work, 0, x.shape))
         mean = np.einsum("bni->bi", x) / n
-        xc = x - mean[:, None, :]
+        xc = np.subtract(x, mean[:, None, :], out=_workspace_slot(work, 0, x.shape))
         cov = np.matmul(xc.transpose(0, 2, 1), xc)
         cov = (cov + cov.transpose(0, 2, 1)) * (0.5 / n)
         q = np.einsum("bi,bi->b", mean, mean)
@@ -438,7 +456,8 @@ def _estimate_stack(variant: McvVariant, x: np.ndarray) -> tuple[np.ndarray, np.
             # flagged rows end up NaN, so the rank check's inverse serves as is.
             if inv is None:
                 inv = np.linalg.inv(cov)
-            quad_rows = np.einsum("bni,bni->bn", xc @ inv, xc)
+            xc_inv = np.matmul(xc, inv, out=_workspace_slot(work, 1, xc.shape))
+            quad_rows = np.einsum("bni,bni->bn", xc_inv, xc)
             infl = rowdot(g0) + (c / (2.0 * d))[:, None] * quad_rows
         elif variant is McvVariant.VV:
             tr = np.einsum("bii->b", cov)

@@ -226,13 +226,21 @@ def mvn_maxabs_sample(
     root = sym_sqrt(corr)
     gen = (rng or make_rng(0)).generator()
     maxabs = np.empty(draws)
-    # Chunked to bound memory at large draw counts.
+    # Chunked to bound memory at large draw counts.  Every chunk reuses the
+    # same two buffers, and the row maximum runs column by column, so no
+    # temporary of the chunk's size is allocated (and faulted in) per chunk.
     chunk = 200_000 // max(r, 1) + 1
+    z = np.empty((min(chunk, draws), r))
+    w = np.empty_like(z)
     done = 0
     while done < draws:
         m = min(chunk, draws - done)
-        z = gen.standard_normal((m, r)) @ root
-        maxabs[done : done + m] = np.max(np.abs(z), axis=1)
+        gen.standard_normal(out=z[:m])
+        np.abs(np.matmul(z[:m], root, out=w[:m]), out=w[:m])
+        col = maxabs[done : done + m]
+        col[:] = w[:m, 0]
+        for j in range(1, r):
+            np.maximum(col, w[:m, j], out=col)
         done += m
     return maxabs
 

@@ -452,13 +452,22 @@ class TestChunking:
             np.testing.assert_array_equal(other[0], default[0])
             np.testing.assert_array_equal(other[1], default[1])
 
+    @pytest.mark.parametrize("pool_kind", ["continuous", "constant_column"])
     @pytest.mark.parametrize("replace", [False, True])
     @pytest.mark.parametrize("chunk", [1, 7, 128])
-    def test_matches_per_resample_generator_loop(self, monkeypatch, chunk, replace):
-        # Batch-seeded index streams: every resample must estimate exactly the
-        # rows that its own substream(b).generator() draws.
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_per_resample_generator_loop(self, monkeypatch, variant, chunk, replace, pool_kind):
+        # Batch-seeded index streams and reused buffers: every resample must
+        # estimate exactly the rows that its own substream(b).generator()
+        # draws, as a fresh stack of its own.  The groups have unequal sizes,
+        # so a smaller group's stack is the prefix of a buffer a larger one
+        # filled, and 150 resamples leave a partial last chunk.  In the
+        # constant_column pool the third column is constant on all but four
+        # rows, so rr and vn mask some slices of a chunk and not others.
         rng = np.random.default_rng(11)
         pool = 1.5 + rng.standard_normal((30, 3))
+        if pool_kind == "constant_column":
+            pool[4:, 2] = 2.0
         sizes, resamples = (9, 10, 11), 150
         bounds = np.cumsum((0,) + sizes)
         want = np.empty((resamples, len(sizes), 4))
@@ -468,14 +477,59 @@ class TestChunking:
             idx = gen.integers(0, 30, size=30) if replace else gen.permutation(30)
             for i in range(len(sizes)):
                 stack = pool[idx[bounds[i] : bounds[i + 1]]][None]
-                vals, code = _estimate_stack(McvVariant.VV, stack)
+                vals, code = _estimate_stack(variant, stack)
                 want[b, i], codes[b, i] = vals[0], code[0]
         degenerate = codes.any(axis=1)
         want[degenerate] = np.nan
+        masks = pool_kind == "constant_column" and variant in (McvVariant.RR, McvVariant.VN)
+        assert 0 < degenerate.sum() < resamples if masks else not degenerate.any()
         monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", chunk)
-        got = pooled_resample_estimates(McvVariant.VV, pool, sizes, resamples, make_rng(5, 2), replace)
+        got = pooled_resample_estimates(variant, pool, sizes, resamples, make_rng(5, 2), replace)
         np.testing.assert_array_equal(got[0], want)
         np.testing.assert_array_equal(got[1], degenerate)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_gather_buffer_per_call(self, monkeypatch, variant):
+        # Every chunk and group is gathered into the same buffer, as its
+        # contiguous prefix, and estimated with the same workspace; the
+        # recorder keeps each stack alive, so fresh arrays could not share
+        # an address.
+        seen = []
+
+        def record(v, x, *work):
+            seen.append((x, work[0] if work else None))
+            return estimate_stack(v, x, *work)
+
+        estimate_stack = _resampling._estimate_stack
+        monkeypatch.setattr(_resampling, "_estimate_stack", record)
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        pool = 1.5 + np.random.default_rng(12).standard_normal((30, 3))
+        for replace in (False, True):
+            seen.clear()
+            pooled_resample_estimates(variant, pool, (9, 10, 11), 40, make_rng(3), replace)
+            assert len(seen) == 3 * 6
+            assert len({x.ctypes.data for x, _ in seen}) == 1
+            assert all(x.flags.c_contiguous for x, _ in seen)
+            assert len({id(work) for _, work in seen}) == 1 and seen[0][1] is not None
+
+    @pytest.mark.parametrize("workspace", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_kernel_leaves_its_input_unchanged(self, variant, workspace):
+        # A stack with a zero-mean and a constant slice, so rr and vn mask
+        # slices and rr inverts the masked stack afresh.  A workspace full of
+        # NaN must change neither the input nor a bit of the output.
+        rng = np.random.default_rng(13)
+        x = draw_groups(rng, 5, 12, 3)
+        half = rng.integers(-5, 6, size=(6, 3)).astype(float)
+        x[1] = np.vstack([half, -half])
+        x[3] = 2.0
+        before = x.copy()
+        want = _estimate_stack(variant, x.copy())
+        work = np.full(2 * x.size, np.nan) if workspace else None
+        got = _estimate_stack(variant, x, work)
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_resample_uses_its_own_substream(self):
         # Resample b estimates the rows drawn by substream b, whatever chunk

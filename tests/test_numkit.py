@@ -149,6 +149,31 @@ def quantile_mc_se(density_at_q, alpha, draws):
     return math.sqrt(alpha * (1.0 - alpha) / draws) / density_at_q
 
 
+def _row_max_loop(corr, draws, rng):
+    """mvn_maxabs_sample as first written: fresh arrays per chunk, np.max of |z|."""
+    r = corr.shape[0]
+    root = sym_sqrt(corr)
+    gen = rng.generator()
+    maxabs = np.empty(draws)
+    chunk = 200_000 // r + 1
+    done = 0
+    while done < draws:
+        m = min(chunk, draws - done)
+        z = gen.standard_normal((m, r)) @ root
+        maxabs[done : done + m] = np.max(np.abs(z), axis=1)
+        done += m
+    return maxabs
+
+
+def _all_pairs_correlation(k):
+    """Correlation of the k(k-1)/2 pairwise differences of k unequal variances;
+    rank k-1, as in the asymptotic Tukey MCT."""
+    h = np.array([np.eye(k)[i] - np.eye(k)[j] for i in range(k) for j in range(i + 1, k)])
+    cov = h @ np.diag(1.0 + 0.3 * np.arange(k)) @ h.T
+    scale = np.sqrt(np.diag(cov))
+    return cov / np.outer(scale, scale)
+
+
 class TestEquicoordinateQuantile:
     DRAWS = 100_000
 
@@ -190,6 +215,23 @@ class TestEquicoordinateQuantile:
         sample = mvn_maxabs_sample(np.eye(3), 1000, make_rng(2))
         assert sample.shape == (1000,)
         assert np.all(sample >= 0.0)
+
+    @pytest.mark.parametrize("r", [1, 2, 6])
+    @pytest.mark.parametrize("draws", [1, 7, "chunk-1", "chunk", "chunk+1", 100_000])
+    def test_maxabs_sample_matches_the_row_max_loop(self, r, draws):
+        # The sampler fills reused buffers and takes the row maximum column by
+        # column; it must give the bits of a fresh array per chunk and
+        # np.max(np.abs(z), axis=1), around the chunk boundary too.  r = 1
+        # runs no column loop.
+        chunk = 200_000 // r + 1
+        draws = {"chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}.get(draws, draws)
+        corr = {
+            1: np.eye(1),
+            2: np.array([[1.0, -0.4], [-0.4, 1.0]]),
+            6: _all_pairs_correlation(4),
+        }[r]
+        want = _row_max_loop(corr, draws, make_rng(21, r))
+        np.testing.assert_array_equal(mvn_maxabs_sample(corr, draws, make_rng(21, r)), want)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
