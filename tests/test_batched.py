@@ -515,9 +515,9 @@ class TestChunking:
     @pytest.mark.parametrize("workspace", [False, True])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_kernel_leaves_its_input_unchanged(self, variant, workspace):
-        # A stack with a zero-mean and a constant slice, so rr and vn mask
-        # slices and rr inverts the masked stack afresh.  A workspace full of
-        # NaN must change neither the input nor a bit of the output.
+        # A stack with a zero-mean slice and an exactly singular (constant)
+        # one, so rr and vn mask slices.  A workspace full of NaN must change
+        # neither the input nor a bit of the output.
         rng = np.random.default_rng(13)
         x = draw_groups(rng, 5, 12, 3)
         half = rng.integers(-5, 6, size=(6, 3)).astype(float)

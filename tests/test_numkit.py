@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from mcvtests.design import tukey_contrasts
 from mcvtests.numkit import (
     RngStream,
     check_alpha,
@@ -17,6 +18,7 @@ from mcvtests.numkit import (
     pinv,
     sym_sqrt,
 )
+from mcvtests.tests_multiple import correlation_matrix
 
 
 def centering(k):
@@ -165,15 +167,6 @@ def _row_max_loop(corr, draws, rng):
     return maxabs
 
 
-def _all_pairs_correlation(k):
-    """Correlation of the k(k-1)/2 pairwise differences of k unequal variances;
-    rank k-1, as in the asymptotic Tukey MCT."""
-    h = np.array([np.eye(k)[i] - np.eye(k)[j] for i in range(k) for j in range(i + 1, k)])
-    cov = h @ np.diag(1.0 + 0.3 * np.arange(k)) @ h.T
-    scale = np.sqrt(np.diag(cov))
-    return cov / np.outer(scale, scale)
-
-
 class TestEquicoordinateQuantile:
     DRAWS = 100_000
 
@@ -228,7 +221,8 @@ class TestEquicoordinateQuantile:
         corr = {
             1: np.eye(1),
             2: np.array([[1.0, -0.4], [-0.4, 1.0]]),
-            6: _all_pairs_correlation(4),
+            # The rank-3 all-pairs correlation of the asymptotic Tukey MCT.
+            6: correlation_matrix(1.0 + 0.3 * np.arange(4), tukey_contrasts(4)),
         }[r]
         want = _row_max_loop(corr, draws, make_rng(21, r))
         np.testing.assert_array_equal(mvn_maxabs_sample(corr, draws, make_rng(21, r)), want)
