@@ -12,9 +12,10 @@ ones.  A first seed past those used while a change was written shows that
 its gain holds on fresh inputs (perfbench/refs.json covers seeds 0-31).
 Nothing under ``perfbench/`` is edited; the run records each side writes to
 its own ``.perfbench/`` are read back for the figures as measured and for the
-per-variant ``cli-inference`` latencies.  Each run's minor page faults are
-the growth of this process's RUSAGE_CHILDREN count across the run, so they
-cover the run and every process it reaped (simulation workers included).
+per-variant ``cli-inference`` latencies.  Each run's minor page faults and
+CPU seconds (user + sys) are the growth of this process's RUSAGE_CHILDREN
+counts across the run, so they cover the run and every process it reaped
+(simulation workers included); its wall seconds are timed beside them.
 Run it on an otherwise idle machine.
 """
 
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +59,13 @@ def archive(rev: str, into: Path) -> str:
 
 
 def run_side(tree: Path, seed: int, seconds: float) -> dict:
-    """One ``--workload all`` run: its summary line, every workload's run record
-    and the minor page faults of the run's processes."""
+    """One ``--workload all`` run: its summary line, every workload's run record,
+    and the minor page faults, CPU seconds and wall seconds of the run's processes."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    before, wall = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+    after, wall = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter() - wall
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -71,7 +73,13 @@ def run_side(tree: Path, seed: int, seconds: float) -> dict:
         name: json.loads((tree / ".perfbench" / f"{name}-seed{seed}-trace0.json").read_text())
         for name in summary
     }
-    return {"summary": summary, "records": records, "minor_faults": faults}
+    return {
+        "summary": summary,
+        "records": records,
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
+        "wall_s": wall,
+    }
 
 
 def compare(parent: list[float], change: list[float], better: str) -> dict:
@@ -138,6 +146,16 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], declared: dict, 
                     "and checks, and the processes it reaped), as the RUSAGE_CHILDREN growth "
                     "across the run; a faster side also completes more operations",
             **compare(*([r["minor_faults"] for r in runs[s]] for s in SIDES), "lower"),
+        },
+        "cpu_seconds": {
+            "what": "user + sys CPU seconds of each whole --workload all run, counted like the "
+                    "page faults; every workload runs for a fixed time, so threads that finish "
+                    "more operations in it raise this figure",
+            **compare(*([r["cpu_s"] for r in runs[s]] for s in SIDES), "lower"),
+        },
+        "wall_seconds": {
+            "what": "wall seconds of each whole --workload all run, set-up and checks included",
+            **compare(*([r["wall_s"] for r in runs[s]] for s in SIDES), "lower"),
         },
     }
     for name in workloads:

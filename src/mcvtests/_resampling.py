@@ -8,6 +8,9 @@ substream b, so results are independent of any execution schedule.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .estimation import McvVariant, _estimate_array, _estimate_stack
@@ -15,6 +18,10 @@ from .numkit import RngStream, pinv
 
 # Resamples estimated together; bounds peak memory independently of B.
 RESAMPLE_CHUNK = 128
+# Values (chunk x largest group size x d) in a call's largest stack from which
+# its chunks run on parallel threads.  Below it, thread hand-offs cost more
+# than they save; the two-thread crossover table is in CHANGES.md.
+THREAD_MIN_ELEMENTS = 64_000
 # Columns of the per-group statistics produced by pooled_resample_estimates.
 COL_C, COL_B, COL_VAR_C, COL_VAR_B = 0, 1, 2, 3
 # How far the smallest eigenvalue of H Sigma H' must provably clear pinv's
@@ -47,6 +54,27 @@ def target_values(stats: np.ndarray, kind: str, sizes: tuple[int, ...]) -> tuple
     return stats[:, col_val], weights * stats[:, col_var]
 
 
+def mcv_threads() -> int:
+    """The positive count set in ``MCV_THREADS``, or 0 when it is unset, empty or not positive.
+
+    The one reader of the variable: it caps both the simulator's worker
+    processes and a resampling call's threads.  A value that is not an
+    integer is a ``ValueError`` naming it.
+    """
+    raw = os.environ.get("MCV_THREADS", "")
+    try:
+        value = int(raw or 0)
+    except ValueError:
+        raise ValueError(f"MCV_THREADS must be an integer, got {raw!r}") from None
+    return max(value, 0)
+
+
+def resampling_threads() -> int:
+    """Threads a public resampling call may use: ``MCV_THREADS`` when set, else this process's CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return mcv_threads() or cpus or 1
+
+
 def pooled_resample_estimates(
     variant: McvVariant,
     pool: np.ndarray,
@@ -54,6 +82,7 @@ def pooled_resample_estimates(
     resamples: int,
     rng: RngStream,
     replace: bool,
+    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group estimates for every resample.
 
@@ -62,11 +91,20 @@ def pooled_resample_estimates(
     Resamples are estimated RESAMPLE_CHUNK at a time, group by group, as one
     (chunk, n_i, d) stack.
 
-    The index array, the gather buffer and the kernel's workspace are
-    allocated once per call, sized for the largest group, and reused by every
-    chunk and group; a group's stack is the contiguous prefix of the gather
-    buffer.  Fresh megabyte-sized temporaries per stack would be handed back
-    to the system on every free and faulted in again on the next call.
+    With ``threads`` above one, a call of at least two chunks whose largest
+    stack holds THREAD_MIN_ELEMENTS values or more deals its chunks out to
+    that many threads, no more than it has chunks: chunk j goes to thread
+    j mod T.  numpy releases the GIL in the kernel's heavy calls, every
+    thread writes its own rows of the result, and a chunk's numbers depend
+    only on its resamples' substreams, so the output is bit-identical for
+    any thread count.
+
+    Each thread allocates its index array, gather buffer and kernel
+    workspace once, sized for the largest group, and reuses them for every
+    chunk and group it estimates; a group's stack is the contiguous prefix
+    of the gather buffer.  Fresh megabyte-sized temporaries per stack would
+    be handed back to the system on every free and faulted in again on the
+    next call.
     """
     n, d = pool.shape
     k = len(sizes)
@@ -74,20 +112,34 @@ def pooled_resample_estimates(
     out = np.empty((resamples, k, 4))
     codes = np.zeros((resamples, k), dtype=np.int8)
     chunk = min(RESAMPLE_CHUNK, resamples)
-    idx = np.empty((chunk, n), dtype=np.intp)
-    gathered = np.empty(chunk * max(sizes) * d)
-    work = np.empty(2 * gathered.size)
-    for start in range(0, resamples, RESAMPLE_CHUNK):
-        stop = min(start + RESAMPLE_CHUNK, resamples)
-        m = stop - start
-        for j, gen in enumerate(rng.substream_generators(start, stop)):
-            idx[j] = gen.integers(0, n, size=n) if replace else gen.permutation(n)
-        for i in range(k):
-            stack = gathered[: m * sizes[i] * d].reshape(m, sizes[i], d)
-            # Every index lies in [0, n), so "clip" never clips; unlike
-            # "raise" it lets np.take write straight into the buffer.
-            np.take(pool, idx[:m, bounds[i] : bounds[i + 1]], axis=0, out=stack, mode="clip")
-            out[start:stop, i], codes[start:stop, i] = _estimate_stack(variant, stack, work)
+    starts = range(0, resamples, RESAMPLE_CHUNK)
+    if chunk * max(sizes) * d < THREAD_MIN_ELEMENTS:
+        threads = 1
+    threads = min(threads, len(starts))
+
+    def fill(share: range) -> None:
+        idx = np.empty((chunk, n), dtype=np.intp)
+        gathered = np.empty(chunk * max(sizes) * d)
+        work = np.empty(2 * gathered.size)
+        for start in share:
+            stop = min(start + RESAMPLE_CHUNK, resamples)
+            m = stop - start
+            for j, gen in enumerate(rng.substream_generators(start, stop)):
+                idx[j] = gen.integers(0, n, size=n) if replace else gen.permutation(n)
+            for i in range(k):
+                stack = gathered[: m * sizes[i] * d].reshape(m, sizes[i], d)
+                # Every index lies in [0, n), so "clip" never clips; unlike
+                # "raise" it lets np.take write straight into the buffer.
+                np.take(pool, idx[:m, bounds[i] : bounds[i + 1]], axis=0, out=stack, mode="clip")
+                out[start:stop, i], codes[start:stop, i] = _estimate_stack(variant, stack, work)
+
+    if threads <= 1:
+        fill(starts)
+    else:
+        # Made per call: a process-wide pool would leave a forked child one
+        # whose threads are gone.
+        with ThreadPoolExecutor(threads) as executor:
+            list(executor.map(fill, [starts[t::threads] for t in range(threads)]))
     degenerate = codes.any(axis=1)
     out[degenerate] = np.nan
     return out, degenerate

@@ -207,6 +207,10 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
+# Normal values per chunk of mvn_maxabs_sample (64 KiB).
+MC_CHUNK_VALUES = 8192
+
+
 def mvn_maxabs_sample(
     corr: np.ndarray, draws: int, rng: RngStream | None = None
 ) -> np.ndarray:
@@ -226,10 +230,13 @@ def mvn_maxabs_sample(
     root = sym_sqrt(corr)
     gen = (rng or make_rng(0)).generator()
     maxabs = np.empty(draws)
-    # Chunked to bound memory at large draw counts.  Every chunk reuses the
-    # same two buffers, and the row maximum runs column by column, so no
-    # temporary of the chunk's size is allocated (and faulted in) per chunk.
-    chunk = 200_000 // max(r, 1) + 1
+    # Chunked to bound memory.  Every chunk reuses the same two buffers, and
+    # the row maximum runs column by column, so no temporary of the chunk's
+    # size is allocated per chunk; at MC_CHUNK_VALUES a buffer stays under
+    # glibc's 128 KiB mmap threshold, so a call takes it from the heap
+    # instead of faulting in fresh pages.  The draws and their maxima do not
+    # depend on the chunk size.
+    chunk = MC_CHUNK_VALUES // max(r, 1) + 1
     z = np.empty((min(chunk, draws), r))
     w = np.empty_like(z)
     done = 0

@@ -27,7 +27,13 @@ from multiprocessing.util import Finalize
 
 import numpy as np
 
-from ._resampling import group_stats, pooled_resample_estimates, target_values, value_columns
+from ._resampling import (
+    group_stats,
+    mcv_threads,
+    pooled_resample_estimates,
+    target_values,
+    value_columns,
+)
 from .design import centering_matrix, tukey_contrasts
 from .estimation import DegeneracyError, McvVariant, Sample, mcv
 from .numkit import RngStream, check_alpha, make_rng, sym_sqrt
@@ -359,14 +365,10 @@ def worker_count(requested: int | None = None) -> int:
     """
     if requested is not None and requested < 1:
         raise ValueError(f"worker count must be at least 1, got {requested}")
-    raw = os.environ.get("MCV_THREADS", "")
-    try:
-        cap = int(raw or 0)
-    except ValueError:
-        raise ValueError(f"MCV_THREADS must be an integer, got {raw!r}") from None
+    cap = mcv_threads()
     if requested is None:
-        return cap if cap > 0 else 1
-    return min(requested, cap) if cap > 0 else requested
+        return cap or 1
+    return min(requested, cap) if cap else requested
 
 
 # The process's worker pool as (pid, workers, executor, stop), or None.  Made

@@ -23,6 +23,7 @@ from scipy.stats import chi2
 from ._resampling import (
     pooled_resample_estimates,
     resampling_p_value,
+    resampling_threads,
     target_values,
     wald_resample_stats,
     wald_value,
@@ -261,7 +262,8 @@ def _resampling_test(
     cm, theta, sigma = _contrast_inputs(target, data, contrast)
     rng = rng or RngStream(0)
     resampled = pooled_resample_estimates(
-        target.variant, data.pooled(), data.sizes, resamples, rng, replace=method == "bootstrap"
+        target.variant, data.pooled(), data.sizes, resamples, rng, replace=method == "bootstrap",
+        threads=resampling_threads(),
     )
     result = _wald_test(target.kind, theta, sigma, cm.h, data.sizes, alpha, resampled, method, rng.seed)
     _warn_rank(result.rank, cm.h)

@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._resampling import pooled_resample_estimates, resampling_p_value, value_columns
+from ._resampling import (
+    pooled_resample_estimates,
+    resampling_p_value,
+    resampling_threads,
+    value_columns,
+)
 from .design import ContrastMatrix
 from .estimation import DegeneracyError, _estimate_array
 from .numkit import RngStream, check_alpha, mvn_equicoordinate_quantile, mvn_maxabs_sample, order_statistic
@@ -256,7 +261,7 @@ def bootstrap_mct(
     pooled_est = _estimate_array(target.variant, pool)
     theta0 = pooled_est.c if target.kind == "c" else pooled_est.b
     stats, degenerate = pooled_resample_estimates(
-        target.variant, pool, data.sizes, resamples, rng, replace=True
+        target.variant, pool, data.sizes, resamples, rng, replace=True, threads=resampling_threads()
     )
     return _mct_test(
         target, cm, theta, sigma, data.sizes, alpha, boot=(stats, degenerate, theta0), seed=rng.seed

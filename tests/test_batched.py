@@ -4,11 +4,14 @@ The stacked estimation kernel is checked against the explicit delta-method
 quadratic form (``sample_moments`` + ``asymptotic_variance``), the stacked
 Wald and max-statistic steps against per-resample loops (the Wald step's
 row-space solve also against the pseudo-inverse it replaces), and the chunked
-resampling engine against itself at chunk size one and against a loop that
-seeds every resample's stream on its own.
+resampling engine against itself at chunk size one and at several thread
+counts, and against a loop that seeds every resample's stream on its own.
 """
 
 import math
+import os
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -488,29 +491,33 @@ class TestChunking:
         np.testing.assert_array_equal(got[0], want)
         np.testing.assert_array_equal(got[1], degenerate)
 
+    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_one_gather_buffer_per_call(self, monkeypatch, variant):
-        # Every chunk and group is gathered into the same buffer, as its
-        # contiguous prefix, and estimated with the same workspace; the
-        # recorder keeps each stack alive, so fresh arrays could not share
-        # an address.
+    def test_one_gather_buffer_per_thread(self, monkeypatch, variant, threads):
+        # Each of the call's threads gathers every chunk and group of its
+        # share into one buffer of its own, as its contiguous prefix, and
+        # estimates it with one workspace of its own; the recorder keeps each
+        # stack alive, so fresh arrays could not share an address.
         seen = []
 
         def record(v, x, *work):
-            seen.append((x, work[0] if work else None))
+            seen.append((threading.get_ident(), x, work[0] if work else None))
             return estimate_stack(v, x, *work)
 
         estimate_stack = _resampling._estimate_stack
         monkeypatch.setattr(_resampling, "_estimate_stack", record)
         monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", 0)
         pool = 1.5 + np.random.default_rng(12).standard_normal((30, 3))
         for replace in (False, True):
             seen.clear()
-            pooled_resample_estimates(variant, pool, (9, 10, 11), 40, make_rng(3), replace)
+            pooled_resample_estimates(variant, pool, (9, 10, 11), 40, make_rng(3), replace, threads)
             assert len(seen) == 3 * 6
-            assert len({x.ctypes.data for x, _ in seen}) == 1
-            assert all(x.flags.c_contiguous for x, _ in seen)
-            assert len({id(work) for _, work in seen}) == 1 and seen[0][1] is not None
+            assert all(x.flags.c_contiguous and work is not None for _, x, work in seen)
+            buffers = {(x.ctypes.data, id(work)) for _, x, work in seen}
+            assert len(buffers) == len({addr for addr, _ in buffers}) == len({w for _, w in buffers}) == threads
+            # A pool thread that finishes one share early may run the next.
+            assert 1 <= len({ident for ident, _, _ in seen}) <= threads
 
     @pytest.mark.parametrize("workspace", [False, True])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -545,3 +552,115 @@ class TestChunking:
             for i in range(2):
                 want = slow_estimate(McvVariant.VV, pool[idx[12 * i : 12 * (i + 1)]])
                 np.testing.assert_allclose(stats[b, i], want, rtol=RTOL)
+
+
+class TestThreads:
+    """A call's chunks split over threads give the serial call's bits."""
+
+    @pytest.mark.parametrize("pool_kind", ["continuous", "constant_column"])
+    @pytest.mark.parametrize("replace", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_thread_count_does_not_change_results(self, monkeypatch, variant, replace, pool_kind):
+        # Unequal groups, 40 resamples in chunks of 7 (a partial last chunk),
+        # and in the constant_column pool rr and vn mask some slices of a
+        # chunk and not others.  A threshold of 0 forces threads on; one
+        # above the largest stack (7 x 11 x 3 values) keeps the call serial.
+        rng = np.random.default_rng(14)
+        pool = 1.5 + rng.standard_normal((30, 3))
+        if pool_kind == "constant_column":
+            pool[4:, 2] = 2.0
+        sizes = (9, 10, 11)
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        want = pooled_resample_estimates(variant, pool, sizes, 40, make_rng(6), replace)
+        masks = pool_kind == "constant_column" and variant in (McvVariant.RR, McvVariant.VN)
+        assert 0 < want[1].sum() < 40 if masks else not want[1].any()
+        for threshold in (0, 7 * 11 * 3 + 1):
+            monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", threshold)
+            for threads in (1, 2, 3):
+                got = pooled_resample_estimates(variant, pool, sizes, 40, make_rng(6), replace, threads)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize(
+        "threshold, resamples, threads, used",
+        [
+            (0, 40, 3, 3),
+            (0, 14, 3, 2),  # no more threads than chunks
+            (0, 7, 3, 1),  # one chunk stays serial
+            (7 * 11 * 3, 40, 3, 3),  # the largest stack reaches the threshold
+            (7 * 11 * 3 + 1, 40, 3, 1),  # and falls one value short of it
+            (0, 40, 1, 1),
+        ],
+    )
+    def test_when_threads_run(self, monkeypatch, threshold, resamples, threads, used):
+        # Each share of the chunks allocates one workspace; a serial call
+        # runs on the calling thread, a threaded one on the call's threads.
+        works, idents = [], set()
+
+        def record(v, x, work):
+            works.append(work)  # kept alive, so no two shares' ids coincide
+            idents.add(threading.get_ident())
+            return estimate_stack(v, x, work)
+
+        estimate_stack = _resampling._estimate_stack
+        monkeypatch.setattr(_resampling, "_estimate_stack", record)
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", threshold)
+        pool = 1.5 + np.random.default_rng(15).standard_normal((30, 3))
+        before = threading.active_count()
+        pooled_resample_estimates(McvVariant.VV, pool, (9, 10, 11), resamples, make_rng(2), True, threads)
+        assert len({id(w) for w in works}) == used
+        assert (idents == {threading.get_ident()}) == (used == 1)
+        assert threading.active_count() == before
+
+    def test_stress_more_threads_than_cores(self, monkeypatch):
+        # Eight threads on 30 one-resample chunks, switching every
+        # microsecond: a row written by the wrong thread, or lost, would
+        # break the equality with the serial call.
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 1)
+        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", 0)
+        pool = 1.5 + np.random.default_rng(17).standard_normal((30, 3))
+        want = pooled_resample_estimates(McvVariant.RR, pool, (9, 10, 11), 30, make_rng(8), True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = pooled_resample_estimates(McvVariant.RR, pool, (9, 10, 11), 30, make_rng(8), True, 8)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # The kernel fails off the calling thread, where a threaded call's
+        # shares run; the error must still reach the caller, and no thread
+        # may outlive the call.
+        def fail_off_caller(v, x, *work):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("kernel failed in a worker")
+            return estimate_stack(v, x, *work)
+
+        caller = threading.get_ident()
+        estimate_stack = _resampling._estimate_stack
+        monkeypatch.setattr(_resampling, "_estimate_stack", fail_off_caller)
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", 0)
+        pool = 1.5 + np.random.default_rng(16).standard_normal((30, 3))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="in a worker"):
+            pooled_resample_estimates(McvVariant.VV, pool, (9, 10, 11), 40, make_rng(2), False, 2)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("raw, want", [(None, 0), ("", 0), ("0", 0), ("-2", 0), ("1", 1), ("5", 5)])
+    def test_thread_cap_is_mcv_threads_or_the_cpus(self, monkeypatch, raw, want):
+        if raw is None:
+            monkeypatch.delenv("MCV_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MCV_THREADS", raw)
+        assert _resampling.mcv_threads() == want
+        assert _resampling.resampling_threads() == (want or len(os.sched_getaffinity(0)))
+
+    def test_non_integer_thread_cap_is_value_error(self, monkeypatch):
+        monkeypatch.setenv("MCV_THREADS", "2.5")
+        with pytest.raises(ValueError, match="MCV_THREADS"):
+            _resampling.resampling_threads()

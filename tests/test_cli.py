@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcvtests import cli
+from mcvtests import _resampling, cli, tests_global, tests_multiple
 from mcvtests.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT,
@@ -268,6 +268,41 @@ class TestMctCommand:
         assert outs[0] == outs[1]
 
 
+class TestResamplingThreads:
+    """A resampling command writes the same bytes whatever threads its calls use."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["test", "--method", "permutation"], ["test", "--method", "bootstrap"], ["mct", "--method", "bootstrap"]],
+    )
+    def test_report_bytes_do_not_depend_on_threads(self, four_group_file, tmp_path, monkeypatch, argv):
+        # A threshold of 0 lets every call of 300 resamples (three chunks) run
+        # threaded; the spy records the thread cap each call is given.
+        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", 0)
+        caps = []
+
+        def spy(*args, **kwargs):
+            caps.append(kwargs["threads"])
+            return engine(*args, **kwargs)
+
+        engine = _resampling.pooled_resample_estimates
+        monkeypatch.setattr(tests_global, "pooled_resample_estimates", spy)
+        monkeypatch.setattr(tests_multiple, "pooled_resample_estimates", spy)
+        reports = {}
+        for setting in ("1", None, "3"):
+            if setting is None:
+                monkeypatch.delenv("MCV_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MCV_THREADS", setting)
+            out = tmp_path / f"threads-{setting}.json"
+            command = [argv[0], four_group_file, *argv[1:], "--B", "300", "--seed", "5", "--out", str(out)]
+            assert main(command) == EXIT_OK
+            reports[setting] = out.read_bytes()
+        assert reports["1"] == reports[None] == reports["3"]
+        cpus = len(os.sched_getaffinity(0))
+        assert caps == [1] * 4 + [cpus] * 4 + [3] * 4
+
+
 class TestIlrCommand:
     def test_closed_form_two_parts(self, tmp_path, capsys):
         path = tmp_path / "comp.csv"
@@ -519,6 +554,16 @@ class TestExitCodeSweep:
         code = main(argv + flags)
         err = capsys.readouterr().err
         assert code == expected, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["test"], ["test", "--method", "bootstrap"], ["mct"]])
+    def test_non_integer_thread_count(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MCV_THREADS", "two")
+        out = str(tmp_path / "r.json")
+        code = main([argv[0], _sweep_data(tmp_path, "valid"), *argv[1:], "--B", "20", "--out", out])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT, err
+        assert "MCV_THREADS" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("mode", ["scenario", "mimic"])

@@ -8,6 +8,7 @@ from scipy.special import ndtri
 
 from mcvtests.design import tukey_contrasts
 from mcvtests.numkit import (
+    MC_CHUNK_VALUES,
     RngStream,
     check_alpha,
     make_rng,
@@ -209,20 +210,24 @@ class TestEquicoordinateQuantile:
         assert sample.shape == (1000,)
         assert np.all(sample >= 0.0)
 
-    @pytest.mark.parametrize("r", [1, 2, 6])
-    @pytest.mark.parametrize("draws", [1, 7, "chunk-1", "chunk", "chunk+1", 100_000])
+    @pytest.mark.parametrize("r", [1, 2, 3, 6, 10])
+    @pytest.mark.parametrize("draws", [1, 7, 999, "chunk-1", "chunk", "chunk+1", 100_000])
     def test_maxabs_sample_matches_the_row_max_loop(self, r, draws):
-        # The sampler fills reused buffers and takes the row maximum column by
-        # column; it must give the bits of a fresh array per chunk and
-        # np.max(np.abs(z), axis=1), around the chunk boundary too.  r = 1
-        # runs no column loop.
-        chunk = 200_000 // r + 1
+        # The sampler fills reused buffers of MC_CHUNK_VALUES normals and takes
+        # the row maximum column by column; it must give the bits of the
+        # loop's fresh arrays of 200,000 normals per chunk and
+        # np.max(np.abs(z), axis=1), around its own chunk boundary too.
+        # r = 1 runs no column loop.
+        chunk = MC_CHUNK_VALUES // r + 1
         draws = {"chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}.get(draws, draws)
         corr = {
             1: np.eye(1),
             2: np.array([[1.0, -0.4], [-0.4, 1.0]]),
-            # The rank-3 all-pairs correlation of the asymptotic Tukey MCT.
+            # The rank-deficient all-pairs correlations of the asymptotic
+            # Tukey MCT for 3, 4 and 5 groups.
+            3: correlation_matrix(1.0 + 0.3 * np.arange(3), tukey_contrasts(3)),
             6: correlation_matrix(1.0 + 0.3 * np.arange(4), tukey_contrasts(4)),
+            10: correlation_matrix(1.0 + 0.3 * np.arange(5), tukey_contrasts(5)),
         }[r]
         want = _row_max_loop(corr, draws, make_rng(21, r))
         np.testing.assert_array_equal(mvn_maxabs_sample(corr, draws, make_rng(21, r)), want)
