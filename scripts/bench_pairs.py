@@ -11,8 +11,9 @@ BENCHMARK.json, the parent first in even pairs and the change first in odd
 ones.  A first seed past those used while a change was written shows that
 its gain holds on fresh inputs (perfbench/refs.json covers seeds 0-31).
 Nothing under ``perfbench/`` is edited; the run records each side writes to
-its own ``.perfbench/`` are read back for the figures as measured and for the
-per-variant ``cli-inference`` latencies.  Each run's minor page faults and
+its own ``.perfbench/`` are read back for the figures as measured, for the
+median calibration block of each workload and for the per-variant
+``cli-inference`` latencies.  Each run's minor page faults and
 CPU seconds (user + sys) are the growth of this process's RUSAGE_CHILDREN
 counts across the run, so they cover the run and every process it reaped
 (simulation workers included); its wall seconds are timed beside them.
@@ -140,6 +141,12 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], declared: dict, 
             "what": "the '# measured' line: throughput as measured, not scaled to the "
                     "reference speed by the calibration blocks",
         },
+        "calibration_block_s": {
+            "what": "per run, the median of the run record's calibration_blocks_s: the seconds "
+                    "of one block of perfbench's reference kernel, which sets the factor that "
+                    "scales the end-to-end timings; a change that speeds the kernel itself up "
+                    "moves this figure and scales its own gains down",
+        },
         "correct": {},
         "minor_page_faults": {
             "what": "minor page faults of each whole --workload all run (every workload, set-up "
@@ -169,6 +176,10 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], declared: dict, 
         out["measured_throughput_per_s"][name] = compare(
             *(series(s, name, lambda rec, summ: rec["measured"]["throughput_per_s"]) for s in SIDES),
             "higher")
+        out["calibration_block_s"][name] = compare(
+            *(series(s, name, lambda rec, summ: statistics.median(rec["calibration_blocks_s"]))
+              for s in SIDES),
+            "lower")
         out["correct"][name] = {
             s: all(series(s, name, lambda rec, summ: summ["correct"])) for s in SIDES
         } | {"failed_ops": {s: sum(series(s, name, lambda rec, summ: summ["failed"])) for s in SIDES}}

@@ -124,8 +124,11 @@ def pooled_resample_estimates(
         for start in share:
             stop = min(start + RESAMPLE_CHUNK, resamples)
             m = stop - start
-            for j, gen in enumerate(rng.substream_generators(start, stop)):
-                idx[j] = gen.integers(0, n, size=n) if replace else gen.permutation(n)
+            if replace:
+                idx[:m] = rng.substream_integers(start, stop, n, n)
+            else:
+                for j, gen in enumerate(rng.substream_generators(start, stop)):
+                    idx[j] = gen.permutation(n)
             for i in range(k):
                 stack = gathered[: m * sizes[i] * d].reshape(m, sizes[i], d)
                 # Every index lies in [0, n), so "clip" never clips; unlike

@@ -51,6 +51,8 @@ __all__ = [
 # Quadratic forms in nearly rank-deficient fourth-moment matrices can go
 # microscopically negative; anything below this is a real inconsistency.
 NEG_VARIANCE_TOL = -1e-10
+# Values per block of rows in which _moments_from_array finishes psi4 (64 KiB).
+_PSI4_BLOCK_VALUES = 8192
 
 
 class DegeneracyError(RuntimeError):
@@ -147,7 +149,15 @@ def _moments_from_array(x: np.ndarray) -> MomentSet:
     p = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
     raw2_flat = raw2.reshape(-1)
     psi3 = p.T @ x / n - raw2_flat[:, None] * mean[None, :]
-    psi4 = p.T @ p / n - np.outer(raw2_flat, raw2_flat)
+    # psi4 = p' p / n - outer(raw2_flat, raw2_flat), built in place a block
+    # of rows at a time: at d = 40 a full-size outer product would be a
+    # second 20 MB temporary.  Same operations, same bits.
+    psi4 = p.T @ p
+    step = max(1, _PSI4_BLOCK_VALUES // (d * d))
+    for lo in range(0, d * d, step):
+        blk = psi4[lo : lo + step]
+        blk /= n
+        blk -= np.multiply.outer(raw2_flat[lo : lo + step], raw2_flat)
     return MomentSet(mean=mean, cov=cov, raw2=raw2, psi3=psi3, psi4=psi4, n=n)
 
 

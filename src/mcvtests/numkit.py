@@ -68,12 +68,56 @@ class RngStream:
         uint32 arrays, so each generator draws exactly what the one built by
         ``generator`` draws.
         """
+        words = self._substream_words(start, stop)
+        return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+
+    def substream_integers(self, start: int, stop: int, high: int, size: int) -> np.ndarray:
+        """``(stop - start, size)`` int64 array; row j is ``self.substream(start + j).generator().integers(0, high, size=size)``.
+
+        numpy draws these on its 32-bit path: each value takes the next
+        32-bit word of PCG64 (the low half of a 64-bit output, then its high
+        half) and maps it to [0, high) with Lemire's multiply-shift rule,
+        ``(word * high) >> 32``, redrawing when the low 32 bits of the
+        product fall below ``(2**32 - high) % high``.  Here every stream
+        yields its raw 64-bit words and the rule runs over the whole block
+        at once; a stream that would redraw anywhere is drawn again by
+        numpy itself from the same seed words, so every row is numpy's bit
+        for bit.
+        """
+        if not 1 <= high <= 2**32:
+            raise ValueError(f"high must lie in [1, 2**32], got {high}")
+        words = self._substream_words(start, stop)
+        m, half = len(words), (size + 1) // 2
+        raw = np.empty((m, half), dtype=np.uint64)
+        for j, w in enumerate(words):
+            raw[j] = np.random.PCG64(_SeedWords(w)).random_raw(half)
+        # Masks and shifts rather than a uint32 view, so the split into
+        # low and high halves does not depend on the byte order.
+        product = np.empty((m, half, 2), dtype=np.uint64)
+        np.bitwise_and(raw, np.uint64(_MASK32), out=product[..., 0])
+        np.right_shift(raw, np.uint64(32), out=product[..., 1])
+        product = product.reshape(m, 2 * half)[:, :size]
+        np.multiply(product, np.uint64(high), out=product)
+        out = np.empty((m, size), dtype=np.int64)
+        np.right_shift(product, np.uint64(32), out=out, casting="unsafe")
+        threshold = (2**32 - high) % high
+        if threshold:
+            np.bitwise_and(product, np.uint64(_MASK32), out=product)
+            for j in np.flatnonzero((product < np.uint64(threshold)).any(axis=1)):
+                # Not self.substream(...).generator(): perfbench's tracer
+                # wraps that method with one span stack, and this may run
+                # on a resampling thread.
+                gen = np.random.Generator(np.random.PCG64(_SeedWords(words[j])))
+                out[j] = gen.integers(0, high, size=size)
+        return out
+
+    def _substream_words(self, start: int, stop: int) -> np.ndarray:
+        """(max(stop - start, 0), 4) uint64 PCG64 seed words of substreams start..stop - 1."""
         if start < 0 or stop > 2**32:
             raise ValueError(f"substream range must lie in [0, 2**32), got [{start}, {stop})")
         prefix = [w for n in (self.seed,) + self.stream for w in _uint32_words(n)]
         index = np.arange(start, stop, dtype=np.int64).astype(np.uint32)
-        words = _seed_sequence_state(prefix, index)
-        return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+        return _seed_sequence_state(prefix, index)
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):

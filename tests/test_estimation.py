@@ -71,6 +71,14 @@ class TestSampleMoments:
             np.testing.assert_array_equal(psi3, psi3.transpose(1, 0, 2))
             np.testing.assert_allclose(m.psi4, m.psi4.T, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 5, 10, 40])
+    def test_psi4_matches_full_outer_product_bit_for_bit(self, d):
+        x = np.random.default_rng(d).normal(1.0, 2.0, size=(57, d))
+        m = sample_moments(Sample(x))
+        p = (x[:, :, None] * x[:, None, :]).reshape(57, d * d)
+        r = m.raw2.reshape(-1)
+        np.testing.assert_array_equal(m.psi4, p.T @ p / 57 - np.outer(r, r))
+
     def test_rejects_single_observation(self):
         with pytest.raises(ValueError, match="n >= 2"):
             sample_moments(Sample(np.ones((1, 2))))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from mcvtests import numkit
 from mcvtests.design import tukey_contrasts
 from mcvtests.numkit import (
     MC_CHUNK_VALUES,
@@ -341,3 +342,89 @@ class TestSubstreamGenerators:
     def test_range_outside_uint32_is_value_error(self, start, stop):
         with pytest.raises(ValueError, match="2\\*\\*32"):
             make_rng(0).substream_generators(start, stop)
+
+
+INTEGER_HIGHS = (1, 2, 3, 7, 120, 400, 2**31 + 5, 3 * 2**30 + 1, 2**32 - 1, 2**32)
+# numpy's Lemire rule redraws a word with probability ((2**32 - high) % high) / 2**32:
+# about one in two and one in four here, so nearly every stream of these two redraws.
+REDRAWING_HIGHS = (2**31 + 5, 3 * 2**30 + 1)
+INTEGER_RANGES = ((0, 1), (0, 128), (384, 500))
+
+
+def numpy_redraws(entropy, high, size):
+    """Whether numpy's ``integers(0, high, size=size)`` on this stream took more than ``size`` words."""
+    drawn = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    drawn.integers(0, high, size=size)
+    words = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    words.integers(0, 2**32, size=size, dtype=np.uint32)
+    return drawn.bit_generator.state != words.bit_generator.state
+
+
+def substream_integers_counting(monkeypatch, rng, start, stop, high, size):
+    """``rng.substream_integers(...)`` and the number of its streams that numpy redrew."""
+    seeded, real = [], numkit._SeedWords
+
+    def seed_words(words):
+        seeded.append(words)
+        return real(words)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numkit, "_SeedWords", seed_words)
+        out = rng.substream_integers(start, stop, high, size)
+    return out, len(seeded) - max(stop - start, 0)
+
+
+class TestSubstreamIntegers:
+    """The block-drawn bootstrap indices against numpy's ``integers`` per resample."""
+
+    @pytest.mark.parametrize("stream", ((3,), (0, 2**32 + 7), (5, 0, 1)))
+    @pytest.mark.parametrize("seed", (0, 1, 2**32 - 1, 2**64 + 5))
+    @pytest.mark.parametrize("high", INTEGER_HIGHS)
+    def test_matches_numpy_integers(self, monkeypatch, seed, stream, high):
+        rng = RngStream(seed, stream)
+        for start, stop in INTEGER_RANGES:
+            for size in (5, 16):
+                fast, fallbacks = substream_integers_counting(monkeypatch, rng, start, stop, high, size)
+                assert fast.shape == (stop - start, size) and fast.dtype == np.int64
+                slow = [rng.substream(b).generator().integers(0, high, size=size) for b in range(start, stop)]
+                np.testing.assert_array_equal(fast, np.array(slow))
+                if high > 1:
+                    redrawn = sum(numpy_redraws((seed,) + stream + (b,), high, size) for b in range(start, stop))
+                    assert fallbacks == redrawn
+                if high in REDRAWING_HIGHS and stop - start > 1:
+                    assert fallbacks > 0
+                if high == 2**32:
+                    assert fallbacks == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70 - 1),
+        stream=st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
+        start=st.integers(0, 2**32 - 1),
+        length=st.integers(0, 12),
+        high=st.one_of(st.integers(1, 600), st.integers(1, 2**32)),
+        size=st.integers(0, 40),
+    )
+    def test_property_matches_numpy_integers(self, seed, stream, start, length, high, size):
+        rng = RngStream(seed, tuple(stream))
+        stop = min(start + length, 2**32)
+        fast = rng.substream_integers(start, stop, high, size)
+        assert fast.shape == (max(stop - start, 0), size)
+        for row, b in zip(fast, range(start, stop)):
+            np.testing.assert_array_equal(row, rng.substream(b).generator().integers(0, high, size=size))
+
+    def test_pool_sized_draws_match(self):
+        rng = make_rng(11, 4)
+        for n in (30, 120, 400):
+            fast = rng.substream_integers(0, 128, n, n)
+            for b in (0, 1, 63, 127):
+                np.testing.assert_array_equal(fast[b], rng.substream(b).generator().integers(0, n, size=n))
+
+    @pytest.mark.parametrize("high", (0, -3, 2**32 + 1))
+    def test_high_outside_numpy_32_bit_path_is_value_error(self, high):
+        with pytest.raises(ValueError, match="high"):
+            make_rng(0).substream_integers(0, 3, high, 4)
+
+    def test_range_outside_uint32_is_value_error(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            make_rng(0).substream_integers(2**32 - 1, 2**32 + 1, 10, 4)
