@@ -72,9 +72,9 @@ class RngStream:
         return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
     def substream_integers(self, start: int, stop: int, high: int, size: int) -> np.ndarray:
-        """``(stop - start, size)`` int64 array; row j is ``self.substream(start + j).generator().integers(0, high, size=size)``.
+        """Row j is ``self.substream(start + j).generator().integers(0, high, size=size)``.
 
-        numpy draws these on its 32-bit path: each value takes the next
+        Returns a (max(stop - start, 0), size) int64 array.  numpy draws these on its 32-bit path: each value takes the next
         32-bit word of PCG64 (the low half of a 64-bit output, then its high
         half) and maps it to [0, high) with Lemire's multiply-shift rule,
         ``(word * high) >> 32``, redrawing when the low 32 bits of the

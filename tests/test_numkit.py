@@ -383,7 +383,7 @@ class TestSubstreamIntegers:
     def test_matches_numpy_integers(self, monkeypatch, seed, stream, high):
         rng = RngStream(seed, stream)
         for start, stop in INTEGER_RANGES:
-            for size in (5, 16):
+            for size in (5, 16, 120):
                 fast, fallbacks = substream_integers_counting(monkeypatch, rng, start, stop, high, size)
                 assert fast.shape == (stop - start, size) and fast.dtype == np.int64
                 slow = [rng.substream(b).generator().integers(0, high, size=size) for b in range(start, stop)]
@@ -412,13 +412,6 @@ class TestSubstreamIntegers:
         assert fast.shape == (max(stop - start, 0), size)
         for row, b in zip(fast, range(start, stop)):
             np.testing.assert_array_equal(row, rng.substream(b).generator().integers(0, high, size=size))
-
-    def test_pool_sized_draws_match(self):
-        rng = make_rng(11, 4)
-        for n in (30, 120, 400):
-            fast = rng.substream_integers(0, 128, n, n)
-            for b in (0, 1, 63, 127):
-                np.testing.assert_array_equal(fast[b], rng.substream(b).generator().integers(0, n, size=n))
 
     @pytest.mark.parametrize("high", (0, -3, 2**32 + 1))
     def test_high_outside_numpy_32_bit_path_is_value_error(self, high):
