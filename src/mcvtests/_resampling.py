@@ -8,8 +8,13 @@ substream b, so results are independent of any execution schedule.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -19,9 +24,10 @@ from .numkit import RngStream, pinv
 # Resamples estimated together; bounds peak memory independently of B.
 RESAMPLE_CHUNK = 128
 # Values (chunk x largest group size x d) in a call's largest stack from which
-# its chunks run on parallel threads.  Below it, thread hand-offs cost more
-# than they save; the two-thread crossover table is in CHANGES.md.
-THREAD_MIN_ELEMENTS = 64_000
+# its chunks run on the worker pool.  Below it, a call of two chunks gains
+# too little to pay for the hand-off; the two-worker crossover table is in
+# CHANGES.md.
+WORKER_MIN_ELEMENTS = 4_000
 # Columns of the per-group statistics produced by pooled_resample_estimates.
 COL_C, COL_B, COL_VAR_C, COL_VAR_B = 0, 1, 2, 3
 # How far the smallest eigenvalue of H Sigma H' must provably clear pinv's
@@ -57,9 +63,9 @@ def target_values(stats: np.ndarray, kind: str, sizes: tuple[int, ...]) -> tuple
 def mcv_threads() -> int:
     """The positive count set in ``MCV_THREADS``, or 0 when it is unset, empty or not positive.
 
-    The one reader of the variable: it caps both the simulator's worker
-    processes and a resampling call's threads.  A value that is not an
-    integer is a ``ValueError`` naming it.
+    The one reader of the variable: it caps the worker processes of both the
+    simulator and a resampling call.  A value that is not an integer is a
+    ``ValueError`` naming it.
     """
     raw = os.environ.get("MCV_THREADS", "")
     try:
@@ -69,10 +75,119 @@ def mcv_threads() -> int:
     return max(value, 0)
 
 
-def resampling_threads() -> int:
-    """Threads a public resampling call may use: ``MCV_THREADS`` when set, else this process's CPUs."""
+def resampling_workers() -> int:
+    """Workers a public resampling call may use: ``MCV_THREADS`` when set, else this process's CPUs."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return mcv_threads() or cpus or 1
+
+
+# The process's worker pool as (pid, workers, executor, stop), or None.  Made
+# by the first parallel call, simulation or resampling, and kept while the
+# worker count stays the same; a forked child sees its parent's pid here and
+# makes its own.
+_pool: tuple[int, int, ProcessPoolExecutor, Finalize] | None = None
+
+
+def can_fork_workers() -> bool:
+    """Whether this process may start a worker pool.
+
+    It needs the ``fork`` start method, and it must not be daemonic: a
+    ``multiprocessing.Pool`` worker may not have children.
+    """
+    return "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The process-wide executor with ``workers`` forked processes, made on first use."""
+    global _pool
+    if _pool is not None and _pool[:2] == (os.getpid(), workers):
+        return _pool[2]
+    _close_pool()
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    # Stopped at exit by concurrent.futures' exit hook, except in a
+    # multiprocessing child: that joins its children before the hook runs,
+    # so there this finalizer stops the pool first.  Its priority puts it
+    # ahead of the queue finalizers (10) the shutdown still needs.
+    stop = Finalize(None, pool.shutdown, exitpriority=100)
+    _pool = (os.getpid(), workers, pool, stop)
+    return pool
+
+
+def _close_pool() -> None:
+    """Stop this process's pool, if any; a parent's pool is only forgotten."""
+    global _pool
+    if _pool is not None:
+        _pool[3]()  # runs once, and only in the process that made the pool
+    _pool = None
+
+
+def pool_map(fn: Callable, tasks: list, workers: int, chunksize: int = 1) -> list:
+    """``[fn(t) for t in tasks]``, run on the process's pool of ``workers`` processes.
+
+    A pool that breaks is dropped.  A worker of a pool that an earlier call
+    made may have died while the pool sat idle (killed by the OOM killer,
+    say); every task's result depends only on the task, so the call then
+    reruns once on a new pool and returns the same results.  A pool that
+    breaks in the call that made it, or in the rerun, raises
+    ``BrokenProcessPool``.
+    """
+    reused = _pool is not None and _pool[:2] == (os.getpid(), workers)
+    while True:
+        try:
+            return list(_worker_pool(workers).map(fn, tasks, chunksize=chunksize))
+        except BrokenProcessPool:
+            _close_pool()
+            if not reused:
+                raise
+            reused = False
+
+
+def _estimate_chunks(
+    variant: McvVariant,
+    pool: np.ndarray,
+    sizes: tuple[int, ...],
+    resamples: int,
+    rng: RngStream,
+    replace: bool,
+    step: int,
+    starts: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and degeneracy codes of the chunks of ``step`` resamples that begin at ``starts``.
+
+    The rows come in the order of ``starts``, (rows, k, 4) and (rows, k).  The
+    index array, the gather buffer and the kernel workspace are allocated
+    once, sized for the largest group, and reused for every chunk and group;
+    a group's stack is the contiguous prefix of the gather buffer.  Fresh
+    megabyte-sized temporaries per stack would be handed back to the system
+    on every free and faulted in again on the next call.
+    """
+    n, d = pool.shape
+    k = len(sizes)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    rows = sum(min(step, resamples - start) for start in starts)
+    out = np.empty((rows, k, 4))
+    codes = np.zeros((rows, k), dtype=np.int8)
+    chunk = min(step, resamples)
+    idx = np.empty((chunk, n), dtype=np.intp)
+    gathered = np.empty(chunk * max(sizes) * d)
+    work = np.empty(2 * gathered.size)
+    row = 0
+    for start in starts:
+        stop = min(start + step, resamples)
+        m = stop - start
+        if replace:
+            idx[:m] = rng.substream_integers(start, stop, n, n)
+        else:
+            for j, gen in enumerate(rng.substream_generators(start, stop)):
+                idx[j] = gen.permutation(n)
+        for i in range(k):
+            stack = gathered[: m * sizes[i] * d].reshape(m, sizes[i], d)
+            # Every index lies in [0, n), so "clip" never clips; unlike
+            # "raise" it lets np.take write straight into the buffer.
+            np.take(pool, idx[:m, bounds[i] : bounds[i + 1]], axis=0, out=stack, mode="clip")
+            out[row : row + m, i], codes[row : row + m, i] = _estimate_stack(variant, stack, work)
+        row += m
+    return out, codes
 
 
 def pooled_resample_estimates(
@@ -82,7 +197,7 @@ def pooled_resample_estimates(
     resamples: int,
     rng: RngStream,
     replace: bool,
-    threads: int = 1,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group estimates for every resample.
 
@@ -91,58 +206,31 @@ def pooled_resample_estimates(
     Resamples are estimated RESAMPLE_CHUNK at a time, group by group, as one
     (chunk, n_i, d) stack.
 
-    With ``threads`` above one, a call of at least two chunks whose largest
-    stack holds THREAD_MIN_ELEMENTS values or more deals its chunks out to
-    that many threads, no more than it has chunks: chunk j goes to thread
-    j mod T.  numpy releases the GIL in the kernel's heavy calls, every
-    thread writes its own rows of the result, and a chunk's numbers depend
-    only on its resamples' substreams, so the output is bit-identical for
-    any thread count.
-
-    Each thread allocates its index array, gather buffer and kernel
-    workspace once, sized for the largest group, and reuses them for every
-    chunk and group it estimates; a group's stack is the contiguous prefix
-    of the gather buffer.  Fresh megabyte-sized temporaries per stack would
-    be handed back to the system on every free and faulted in again on the
-    next call.
+    With ``workers`` above one, a call of at least two chunks whose largest
+    stack holds WORKER_MIN_ELEMENTS values or more deals its chunks out to
+    no more shares than it has chunks: chunk j goes to share j mod T.  Each
+    share runs on the process's worker pool (``pool_map``) and the caller
+    copies its rows into place.  A chunk's numbers depend only on its
+    resamples' substreams, so the output is bit-identical for any worker
+    count.  A process that cannot fork workers (``can_fork_workers``) runs
+    serially.
     """
-    n, d = pool.shape
     k = len(sizes)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    out = np.empty((resamples, k, 4))
-    codes = np.zeros((resamples, k), dtype=np.int8)
-    chunk = min(RESAMPLE_CHUNK, resamples)
-    starts = range(0, resamples, RESAMPLE_CHUNK)
-    if chunk * max(sizes) * d < THREAD_MIN_ELEMENTS:
-        threads = 1
-    threads = min(threads, len(starts))
-
-    def fill(share: range) -> None:
-        idx = np.empty((chunk, n), dtype=np.intp)
-        gathered = np.empty(chunk * max(sizes) * d)
-        work = np.empty(2 * gathered.size)
-        for start in share:
-            stop = min(start + RESAMPLE_CHUNK, resamples)
-            m = stop - start
-            if replace:
-                idx[:m] = rng.substream_integers(start, stop, n, n)
-            else:
-                for j, gen in enumerate(rng.substream_generators(start, stop)):
-                    idx[j] = gen.permutation(n)
-            for i in range(k):
-                stack = gathered[: m * sizes[i] * d].reshape(m, sizes[i], d)
-                # Every index lies in [0, n), so "clip" never clips; unlike
-                # "raise" it lets np.take write straight into the buffer.
-                np.take(pool, idx[:m, bounds[i] : bounds[i + 1]], axis=0, out=stack, mode="clip")
-                out[start:stop, i], codes[start:stop, i] = _estimate_stack(variant, stack, work)
-
-    if threads <= 1:
-        fill(starts)
+    step = RESAMPLE_CHUNK
+    starts = range(0, resamples, step)
+    if min(step, resamples) * max(sizes) * pool.shape[1] < WORKER_MIN_ELEMENTS or not can_fork_workers():
+        workers = 1
+    shares = min(workers, len(starts))
+    estimate = partial(_estimate_chunks, variant, pool, sizes, resamples, rng, replace, step)
+    if shares <= 1:
+        out, codes = estimate(starts)
     else:
-        # Made per call: a process-wide pool would leave a forked child one
-        # whose threads are gone.
-        with ThreadPoolExecutor(threads) as executor:
-            list(executor.map(fill, [starts[t::threads] for t in range(threads)]))
+        out = np.empty((resamples, k, 4))
+        codes = np.empty((resamples, k), dtype=np.int8)
+        plan = [starts[t::shares] for t in range(shares)]
+        for share, (rows, share_codes) in zip(plan, pool_map(estimate, plan, workers)):
+            at = np.concatenate([np.arange(s, min(s + step, resamples)) for s in share])
+            out[at], codes[at] = rows, share_codes
     degenerate = codes.any(axis=1)
     out[degenerate] = np.nan
     return out, degenerate

@@ -11,7 +11,7 @@ quadratic form (s/4) a M a^T without the d^2 x d^2 moment matrices, with the
 gradient in log space and each sample rescaled by a power of two first.  rr
 and vn need full-rank covariances: one stacked inverse proves full rank for
 most resamples, and only the rest go through ``numeric_rank``'s eigenvalue
-screen and SVD (``_rank_deficient``); rr reuses that inverse.
+screen and SVD (``_rank_deficient``); rr and vn reuse that inverse.
 
 A single sample is, for now, still estimated through the explicit quadratic
 form in its third/fourth mixed-moment matrices (``sample_moments``,
@@ -477,7 +477,12 @@ def _estimate_stack(
             sq_rows = np.einsum("bni,bni->bn", xc, xc)
             infl = -(c / q)[:, None] * rowdot(mean) + sq_rows / (2.0 * c * q)[:, None]
         elif variant is McvVariant.VN:
-            u = np.linalg.solve(cov, mean[:, :, None])[..., 0]
+            # u = S^-1 m from the rank check's inverse, as rr's G; solved only
+            # where a zero-pivot slice of full rank left no inverse.
+            if inv is None:
+                u = np.linalg.solve(cov, mean[:, :, None])[..., 0]
+            else:
+                u = (inv @ mean[:, :, None])[..., 0]
             quad = np.einsum("bi,bi->b", mean, u)
             flag(~(quad > 0.0), _MAHALANOBIS)
             c = 1.0 / np.sqrt(quad)

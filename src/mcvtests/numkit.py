@@ -105,8 +105,8 @@ class RngStream:
             np.bitwise_and(product, np.uint64(_MASK32), out=product)
             for j in np.flatnonzero((product < np.uint64(threshold)).any(axis=1)):
                 # Not self.substream(...).generator(): perfbench's tracer
-                # wraps that method with one span stack, and this may run
-                # on a resampling thread.
+                # wraps that method, and cannot see a resampling worker, so
+                # its counts would hinge on where this chunk ran.
                 gen = np.random.Generator(np.random.PCG64(_SeedWords(words[j])))
                 out[j] = gen.integers(0, high, size=size)
         return out

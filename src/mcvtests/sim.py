@@ -18,18 +18,16 @@ so results are bit-identical for any worker count or schedule.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from multiprocessing.util import Finalize
 
 import numpy as np
 
 from ._resampling import (
+    can_fork_workers,
     group_stats,
     mcv_threads,
+    pool_map,
     pooled_resample_estimates,
     target_values,
     value_columns,
@@ -371,62 +369,14 @@ def worker_count(requested: int | None = None) -> int:
     return min(requested, cap) if cap else requested
 
 
-# The process's worker pool as (pid, workers, executor, stop), or None.  Made
-# by the first parallel run and kept while the worker count stays the same;
-# a forked child sees its parent's pid here and makes its own.
-_pool: tuple[int, int, ProcessPoolExecutor, Finalize] | None = None
-
-
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """The process-wide executor with ``workers`` processes, made on first use."""
-    global _pool
-    if _pool is not None and _pool[:2] == (os.getpid(), workers):
-        return _pool[2]
-    _close_pool()
-    pool = ProcessPoolExecutor(max_workers=workers)
-    # Stopped at exit by concurrent.futures' exit hook, except in a
-    # multiprocessing child: that joins its children before the hook runs,
-    # so there this finalizer stops the pool first.  Its priority puts it
-    # ahead of the queue finalizers (10) the shutdown still needs.
-    stop = Finalize(None, pool.shutdown, exitpriority=100)
-    _pool = (os.getpid(), workers, pool, stop)
-    return pool
-
-
-def _close_pool() -> None:
-    """Stop this process's pool, if any; a parent's pool is only forgotten."""
-    global _pool
-    if _pool is not None:
-        _pool[3]()  # runs once, and only in the process that made the pool
-    _pool = None
-
-
-def _pool_map(tasks: list[tuple[_EngineSpec, int]], workers: int, chunk: int) -> list[dict]:
-    """Run ``tasks`` in order on the process's pool; a pool that breaks is dropped."""
-    try:
-        return [res for _, res in _worker_pool(workers).map(_replicate_worker, tasks, chunksize=chunk)]
-    except BrokenProcessPool:
-        _close_pool()
-        raise
-
-
 def _run_engine(es: _EngineSpec, replicates: int, workers: int | None) -> list[dict]:
     workers = worker_count(workers)
-    if workers <= 1 or replicates <= 1:
+    if workers <= 1 or replicates <= 1 or not can_fork_workers():
         return [_run_replicate(es, r) for r in range(replicates)]
     tasks = [(es, r) for r in range(replicates)]
     chunk = max(1, replicates // (workers * 8))
-    reused = _pool is not None and _pool[:2] == (os.getpid(), workers)
-    try:
-        return _pool_map(tasks, workers, chunk)
-    except BrokenProcessPool:
-        if not reused:
-            raise
-    # A worker of the pool an earlier call made may have died while the pool
-    # sat idle (killed by the OOM killer, say).  Replicates are keyed by
-    # (seed, r), so a rerun on a new pool gives the same rows; if that pool
-    # breaks too, the error is raised.
-    return _pool_map(tasks, workers, chunk)
+    # Replicates are keyed by (seed, r), so pool_map's rerun gives the same rows.
+    return [res for _, res in pool_map(_replicate_worker, tasks, workers, chunk)]
 
 
 def _aggregate(
@@ -487,12 +437,13 @@ def _run_study(
 def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioResult:
     """Run one scenario; replicate r uses streams derived from (seed, r).
 
-    Replicates run in ``worker_count(workers)`` processes.  With more than
-    one, the workers start at the first parallel call and are reused by
-    later calls with the same count; a different count replaces them, and
-    they end when the interpreter exits.  They are forked at their start,
-    so code patched in this process after the first parallel call does not
-    reach them.
+    Replicates run in ``worker_count(workers)`` processes, the process's one
+    worker pool, which resampling calls share.  With more than one, the
+    workers start at the first parallel call and are reused by later calls
+    with the same count; a different count replaces them, and they end when
+    the interpreter exits.  They are forked at their start, so code patched
+    in this process after the first parallel call does not reach them.  A
+    process that cannot fork workers runs the replicates itself.
     """
     start = time.perf_counter()
     mu = np.asarray(cfg.mu, dtype=float)

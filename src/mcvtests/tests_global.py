@@ -23,7 +23,7 @@ from scipy.stats import chi2
 from ._resampling import (
     pooled_resample_estimates,
     resampling_p_value,
-    resampling_threads,
+    resampling_workers,
     target_values,
     wald_resample_stats,
     wald_value,
@@ -263,7 +263,7 @@ def _resampling_test(
     rng = rng or RngStream(0)
     resampled = pooled_resample_estimates(
         target.variant, data.pooled(), data.sizes, resamples, rng, replace=method == "bootstrap",
-        threads=resampling_threads(),
+        workers=resampling_workers(),
     )
     result = _wald_test(target.kind, theta, sigma, cm.h, data.sizes, alpha, resampled, method, rng.seed)
     _warn_rank(result.rank, cm.h)

@@ -25,7 +25,7 @@ import numpy as np
 from ._resampling import (
     pooled_resample_estimates,
     resampling_p_value,
-    resampling_threads,
+    resampling_workers,
     value_columns,
 )
 from .design import ContrastMatrix
@@ -261,7 +261,7 @@ def bootstrap_mct(
     pooled_est = _estimate_array(target.variant, pool)
     theta0 = pooled_est.c if target.kind == "c" else pooled_est.b
     stats, degenerate = pooled_resample_estimates(
-        target.variant, pool, data.sizes, resamples, rng, replace=True, threads=resampling_threads()
+        target.variant, pool, data.sizes, resamples, rng, replace=True, workers=resampling_workers()
     )
     return _mct_test(
         target, cm, theta, sigma, data.sizes, alpha, boot=(stats, degenerate, theta0), seed=rng.seed

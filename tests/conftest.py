@@ -1,23 +1,31 @@
 import pytest
 
-from mcvtests import sim
+from mcvtests import _resampling
 
 
 @pytest.fixture
-def pool_builds(monkeypatch):
-    """Start without a simulation worker pool and list every executor ``sim`` builds.
+def fresh_pool(monkeypatch):
+    """Start without a worker pool, and stop the pool the test made afterwards.
 
-    The pool is stopped again afterwards, so later tests start clean too.
+    Workers fork at the pool's first use and keep the code they saw then, so
+    a test that patches a name the workers call takes this fixture: its
+    workers see the patch, and later tests do not inherit them.
     """
     monkeypatch.delenv("MCV_THREADS", raising=False)
-    sim._close_pool()
+    _resampling._close_pool()
+    yield
+    _resampling._close_pool()
+
+
+@pytest.fixture
+def pool_builds(fresh_pool, monkeypatch):
+    """List every executor the process's worker pool builds, starting without one."""
     built = []
-    executor = sim.ProcessPoolExecutor
+    executor = _resampling.ProcessPoolExecutor
 
     def counting(*args, **kwargs):
         built.append(executor(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", counting)
-    yield built
-    sim._close_pool()
+    monkeypatch.setattr(_resampling, "ProcessPoolExecutor", counting)
+    return built

@@ -4,14 +4,17 @@ The stacked estimation kernel is checked against the explicit delta-method
 quadratic form (``sample_moments`` + ``asymptotic_variance``), the stacked
 Wald and max-statistic steps against per-resample loops (the Wald step's
 row-space solve also against the pseudo-inverse it replaces), and the chunked
-resampling engine against itself at chunk size one and at several thread
+resampling engine against itself at chunk size one and at several worker
 counts, and against a loop that seeds every resample's stream on its own.
 """
 
 import math
+import multiprocessing
 import os
+import signal
 import sys
-import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
 import numpy as np
@@ -177,11 +180,18 @@ class TestKernelAgainstQuadraticForm:
 
 
 def numeric_rank_branch(variant, x):
-    """``_estimate_stack`` with every covariance's rank taken by ``numeric_rank``
-    and rr's inverse formed afresh: the kernel as it was before the inverse
-    bound."""
+    """``_estimate_stack`` with every covariance's rank taken by ``numeric_rank``:
+    the kernel as it was before the inverse bound.  rr and vn still take S^-1
+    from the stacked inverse (NaN on zero-pivot slices), and solve only where
+    a zero-pivot slice of full rank leaves none."""
     def rank_only(cov):
-        return numeric_rank(cov) < cov.shape[-1], None
+        singular = numeric_rank(cov) < cov.shape[-1]
+        exact = np.linalg.slogdet(cov)[0] == 0.0
+        if (exact & ~singular).any():
+            return singular, None
+        inv = np.full_like(cov, np.nan)
+        inv[~exact] = np.linalg.inv(cov[~exact])
+        return singular, inv
 
     with mock.patch.object(estimation, "_rank_deficient", rank_only):
         return _estimate_stack(variant, x)
@@ -491,33 +501,43 @@ class TestChunking:
         np.testing.assert_array_equal(got[0], want)
         np.testing.assert_array_equal(got[1], degenerate)
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("shares", [1, 3])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_one_gather_buffer_per_thread(self, monkeypatch, variant, threads):
-        # Each of the call's threads gathers every chunk and group of its
-        # share into one buffer of its own, as its contiguous prefix, and
-        # estimates it with one workspace of its own; the recorder keeps each
-        # stack alive, so fresh arrays could not share an address.
+    def test_one_gather_buffer_per_share(self, monkeypatch, variant, shares):
+        # Each share of a call's chunks (all of them in a serial call) gathers
+        # every chunk and group into one buffer of its own, as its contiguous
+        # prefix, and estimates it with one workspace of its own; the
+        # recorder keeps each stack alive, so fresh arrays could not share an
+        # address.  The shares of a parallel call run here as a worker runs
+        # them, and their rows match the serial call's.
         seen = []
 
         def record(v, x, *work):
-            seen.append((threading.get_ident(), x, work[0] if work else None))
+            seen.append((x, work[0] if work else None))
             return estimate_stack(v, x, *work)
 
         estimate_stack = _resampling._estimate_stack
         monkeypatch.setattr(_resampling, "_estimate_stack", record)
         monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
-        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", 0)
         pool = 1.5 + np.random.default_rng(12).standard_normal((30, 3))
+        starts = range(0, 40, 7)
         for replace in (False, True):
             seen.clear()
-            pooled_resample_estimates(variant, pool, (9, 10, 11), 40, make_rng(3), replace, threads)
-            assert len(seen) == 3 * 6
-            assert all(x.flags.c_contiguous and work is not None for _, x, work in seen)
-            buffers = {(x.ctypes.data, id(work)) for _, x, work in seen}
-            assert len(buffers) == len({addr for addr, _ in buffers}) == len({w for _, w in buffers}) == threads
-            # A pool thread that finishes one share early may run the next.
-            assert 1 <= len({ident for ident, _, _ in seen}) <= threads
+            want = pooled_resample_estimates(variant, pool, (9, 10, 11), 40, make_rng(3), replace)
+            for t in range(shares):
+                share = starts[t::shares]
+                if shares > 1:
+                    seen.clear()
+                    rows, codes = _resampling._estimate_chunks(
+                        variant, pool, (9, 10, 11), 40, make_rng(3), replace, 7, share
+                    )
+                    at = np.concatenate([np.arange(s, min(s + 7, 40)) for s in share])
+                    np.testing.assert_array_equal(rows[~want[1][at]], want[0][at][~want[1][at]])
+                    np.testing.assert_array_equal(codes.any(axis=1), want[1][at])
+                assert len(seen) == 3 * len(share)
+                assert all(x.flags.c_contiguous and work is not None for x, work in seen)
+                buffers = {(x.ctypes.data, id(work)) for x, work in seen}
+                assert len(buffers) == len({addr for addr, _ in buffers}) == len({w for _, w in buffers}) == 1
 
     @pytest.mark.parametrize("workspace", [False, True])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -554,17 +574,38 @@ class TestChunking:
                 np.testing.assert_allclose(stats[b, i], want, rtol=RTOL)
 
 
-class TestThreads:
-    """A call's chunks split over threads give the serial call's bits."""
+def _kill_a_worker(executor):
+    """Kill one worker of ``executor`` and wait until the executor knows it is broken."""
+    os.kill(executor.submit(os.getpid).result(), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        try:
+            executor.submit(os.getpid).result()
+        except BrokenProcessPool:
+            return
+        time.sleep(0.01)
+    raise AssertionError("the pool never noticed its killed worker")
+
+
+def _resample_in_daemon(args):
+    """A parallel call made inside a multiprocessing.Pool worker, and whether it made a pool."""
+    rows = pooled_resample_estimates(*args, workers=2)
+    return rows, _resampling._pool is None
+
+
+@pytest.mark.usefixtures("fresh_pool")
+class TestWorkers:
+    """A call's chunks split over the worker pool give the serial call's bits."""
 
     @pytest.mark.parametrize("pool_kind", ["continuous", "constant_column"])
     @pytest.mark.parametrize("replace", [False, True])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_thread_count_does_not_change_results(self, monkeypatch, variant, replace, pool_kind):
+    def test_worker_count_does_not_change_results(self, monkeypatch, variant, replace, pool_kind):
         # Unequal groups, 40 resamples in chunks of 7 (a partial last chunk),
         # and in the constant_column pool rr and vn mask some slices of a
-        # chunk and not others.  A threshold of 0 forces threads on; one
-        # above the largest stack (7 x 11 x 3 values) keeps the call serial.
+        # chunk and not others.  A threshold of 0 sends the call to the
+        # workers; one above the largest stack (7 x 11 x 3 values) keeps it
+        # serial.
         rng = np.random.default_rng(14)
         pool = 1.5 + rng.standard_normal((30, 3))
         if pool_kind == "constant_column":
@@ -575,92 +616,134 @@ class TestThreads:
         masks = pool_kind == "constant_column" and variant in (McvVariant.RR, McvVariant.VN)
         assert 0 < want[1].sum() < 40 if masks else not want[1].any()
         for threshold in (0, 7 * 11 * 3 + 1):
-            monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", threshold)
-            for threads in (1, 2, 3):
-                got = pooled_resample_estimates(variant, pool, sizes, 40, make_rng(6), replace, threads)
+            monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", threshold)
+            for workers in (1, 2, 3):
+                got = pooled_resample_estimates(variant, pool, sizes, 40, make_rng(6), replace, workers)
                 np.testing.assert_array_equal(got[0], want[0])
                 np.testing.assert_array_equal(got[1], want[1])
 
     @pytest.mark.parametrize(
-        "threshold, resamples, threads, used",
+        "threshold, resamples, workers, shares",
         [
             (0, 40, 3, 3),
-            (0, 14, 3, 2),  # no more threads than chunks
-            (0, 7, 3, 1),  # one chunk stays serial
+            (0, 14, 3, 2),  # no more shares than chunks
+            (0, 7, 3, 0),  # one chunk stays serial
             (7 * 11 * 3, 40, 3, 3),  # the largest stack reaches the threshold
-            (7 * 11 * 3 + 1, 40, 3, 1),  # and falls one value short of it
-            (0, 40, 1, 1),
+            (7 * 11 * 3 + 1, 40, 3, 0),  # and falls one value short of it
+            (0, 40, 1, 0),
         ],
     )
-    def test_when_threads_run(self, monkeypatch, threshold, resamples, threads, used):
-        # Each share of the chunks allocates one workspace; a serial call
-        # runs on the calling thread, a threaded one on the call's threads.
-        works, idents = [], set()
+    def test_when_workers_run(self, monkeypatch, threshold, resamples, workers, shares):
+        # A parallel call hands its shares to a pool of ``workers`` processes;
+        # a serial call makes no pool.
+        calls = []
 
-        def record(v, x, work):
-            works.append(work)  # kept alive, so no two shares' ids coincide
-            idents.add(threading.get_ident())
-            return estimate_stack(v, x, work)
+        def spy(fn, tasks, count, *rest):
+            calls.append((len(tasks), count))
+            return pool_map(fn, tasks, count, *rest)
 
-        estimate_stack = _resampling._estimate_stack
-        monkeypatch.setattr(_resampling, "_estimate_stack", record)
+        pool_map = _resampling.pool_map
+        monkeypatch.setattr(_resampling, "pool_map", spy)
         monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
-        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", threshold)
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", threshold)
         pool = 1.5 + np.random.default_rng(15).standard_normal((30, 3))
-        before = threading.active_count()
-        pooled_resample_estimates(McvVariant.VV, pool, (9, 10, 11), resamples, make_rng(2), True, threads)
-        assert len({id(w) for w in works}) == used
-        assert (idents == {threading.get_ident()}) == (used == 1)
-        assert threading.active_count() == before
+        pooled_resample_estimates(McvVariant.VV, pool, (9, 10, 11), resamples, make_rng(2), True, workers)
+        assert calls == ([(shares, workers)] if shares else [])
+        assert (_resampling._pool is None) == (shares == 0)
 
-    def test_stress_more_threads_than_cores(self, monkeypatch):
-        # Eight threads on 30 one-resample chunks, switching every
-        # microsecond: a row written by the wrong thread, or lost, would
-        # break the equality with the serial call.
+    def test_more_workers_than_cores(self, monkeypatch):
+        # Four workers on 30 one-resample chunks: a row copied to the wrong
+        # place, or lost, would break the equality with the serial call.
         monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 1)
-        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
         pool = 1.5 + np.random.default_rng(17).standard_normal((30, 3))
         want = pooled_resample_estimates(McvVariant.RR, pool, (9, 10, 11), 30, make_rng(8), True)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                got = pooled_resample_estimates(McvVariant.RR, pool, (9, 10, 11), 30, make_rng(8), True, 8)
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
-        finally:
-            sys.setswitchinterval(interval)
+        for _ in range(3):
+            got = pooled_resample_estimates(McvVariant.RR, pool, (9, 10, 11), 30, make_rng(8), True, 4)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
-        # The kernel fails off the calling thread, where a threaded call's
-        # shares run; the error must still reach the caller, and no thread
-        # may outlive the call.
-        def fail_off_caller(v, x, *work):
-            if threading.get_ident() != caller:
+        # The kernel fails outside the calling process, where a parallel
+        # call's shares run; the error must still reach the caller, and no
+        # worker may outlive the pool.
+        def fail_in_worker(v, x, *work):
+            if os.getpid() != caller:
                 raise FloatingPointError("kernel failed in a worker")
             return estimate_stack(v, x, *work)
 
-        caller = threading.get_ident()
+        caller = os.getpid()
         estimate_stack = _resampling._estimate_stack
-        monkeypatch.setattr(_resampling, "_estimate_stack", fail_off_caller)
+        monkeypatch.setattr(_resampling, "_estimate_stack", fail_in_worker)
         monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
-        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
         pool = 1.5 + np.random.default_rng(16).standard_normal((30, 3))
-        before = threading.active_count()
         with pytest.raises(FloatingPointError, match="in a worker"):
             pooled_resample_estimates(McvVariant.VV, pool, (9, 10, 11), 40, make_rng(2), False, 2)
-        assert threading.active_count() == before
+        _resampling._close_pool()
+        assert multiprocessing.active_children() == []
+
+    def test_a_pool_killed_between_calls_fails_no_call(self, monkeypatch, pool_builds):
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
+        pool = 1.5 + np.random.default_rng(18).standard_normal((30, 3))
+        args = (McvVariant.RR, pool, (9, 10, 11), 40, make_rng(4), True)
+        want = pooled_resample_estimates(*args)
+        got = pooled_resample_estimates(*args, workers=2)
+        assert len(pool_builds) == 1
+        for _ in range(2):
+            _kill_a_worker(pool_builds[-1])
+            got = pooled_resample_estimates(*args, workers=2)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        assert len(pool_builds) == 3
+
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch, pool_builds):
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
+        pool = 1.5 + np.random.default_rng(19).standard_normal((30, 3))
+        args = (McvVariant.AZ, pool, (9, 10, 11), 40, make_rng(5), False)
+        want = pooled_resample_estimates(*args, workers=2)
+
+        def child():
+            got = pooled_resample_estimates(*args, workers=2)
+            ok = np.array_equal(got[0], want[0], equal_nan=True) and _resampling._pool[0] == os.getpid()
+            sys.exit(0 if ok else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        proc.kill()  # a no-op once it has exited
+        proc.join()
+        assert proc.exitcode == 0
+        assert len(pool_builds) == 1  # the child's pool was built in the child
+        got = pooled_resample_estimates(*args, workers=2)
+        np.testing.assert_array_equal(got[0], want[0])
+
+    def test_a_call_in_a_daemonic_worker_runs_serially(self, monkeypatch):
+        # A multiprocessing.Pool worker may not have children, so its call
+        # makes no pool and gives the serial rows.
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
+        pool = 1.5 + np.random.default_rng(20).standard_normal((30, 3))
+        args = (McvVariant.VN, pool, (9, 10, 11), 40, make_rng(6), True)
+        want = pooled_resample_estimates(*args)
+        with multiprocessing.get_context("fork").Pool(1) as daemons:
+            (rows, codes), serial = daemons.apply(_resample_in_daemon, (args,))
+        assert serial
+        np.testing.assert_array_equal(rows, want[0])
+        np.testing.assert_array_equal(codes, want[1])
 
     @pytest.mark.parametrize("raw, want", [(None, 0), ("", 0), ("0", 0), ("-2", 0), ("1", 1), ("5", 5)])
-    def test_thread_cap_is_mcv_threads_or_the_cpus(self, monkeypatch, raw, want):
+    def test_worker_cap_is_mcv_threads_or_the_cpus(self, monkeypatch, raw, want):
         if raw is None:
             monkeypatch.delenv("MCV_THREADS", raising=False)
         else:
             monkeypatch.setenv("MCV_THREADS", raw)
         assert _resampling.mcv_threads() == want
-        assert _resampling.resampling_threads() == (want or len(os.sched_getaffinity(0)))
+        assert _resampling.resampling_workers() == (want or len(os.sched_getaffinity(0)))
 
     def test_non_integer_thread_cap_is_value_error(self, monkeypatch):
         monkeypatch.setenv("MCV_THREADS", "2.5")
         with pytest.raises(ValueError, match="MCV_THREADS"):
-            _resampling.resampling_threads()
+            _resampling.resampling_workers()

@@ -4,8 +4,13 @@ import io
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,21 +273,22 @@ class TestMctCommand:
         assert outs[0] == outs[1]
 
 
-class TestResamplingThreads:
-    """A resampling command writes the same bytes whatever threads its calls use."""
+@pytest.mark.usefixtures("fresh_pool")
+class TestResamplingWorkers:
+    """A resampling command writes the same bytes whatever workers its calls use."""
 
     @pytest.mark.parametrize(
         "argv",
         [["test", "--method", "permutation"], ["test", "--method", "bootstrap"], ["mct", "--method", "bootstrap"]],
     )
-    def test_report_bytes_do_not_depend_on_threads(self, four_group_file, tmp_path, monkeypatch, argv):
+    def test_report_bytes_do_not_depend_on_workers(self, four_group_file, tmp_path, monkeypatch, argv):
         # A threshold of 0 lets every call of 300 resamples (three chunks) run
-        # threaded; the spy records the thread cap each call is given.
-        monkeypatch.setattr(_resampling, "THREAD_MIN_ELEMENTS", 0)
+        # on the workers; the spy records the worker cap each call is given.
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
         caps = []
 
         def spy(*args, **kwargs):
-            caps.append(kwargs["threads"])
+            caps.append(kwargs["workers"])
             return engine(*args, **kwargs)
 
         engine = _resampling.pooled_resample_estimates
@@ -294,13 +300,54 @@ class TestResamplingThreads:
                 monkeypatch.delenv("MCV_THREADS", raising=False)
             else:
                 monkeypatch.setenv("MCV_THREADS", setting)
-            out = tmp_path / f"threads-{setting}.json"
+            out = tmp_path / f"workers-{setting}.json"
             command = [argv[0], four_group_file, *argv[1:], "--B", "300", "--seed", "5", "--out", str(out)]
             assert main(command) == EXIT_OK
             reports[setting] = out.read_bytes()
         assert reports["1"] == reports[None] == reports["3"]
         cpus = len(os.sched_getaffinity(0))
         assert caps == [1] * 4 + [cpus] * 4 + [3] * 4
+
+    def test_one_shot_command_exits_and_leaves_no_process(self, tmp_path):
+        # 4 groups of 100 rows at d = 10: each chunk's stacks reach the worker
+        # threshold, so with two workers the command forks a pool.  It must
+        # exit 0, write the serial run's bytes, and leave no process of its
+        # session (workers keep their parent's session) behind.
+        assert 128 * 100 * 10 >= _resampling.WORKER_MIN_ELEMENTS
+        gen = make_rng(9).generator()
+        rows = [[g, *[f"{v:.10f}" for v in 2.0 + gen.standard_normal(10)]] for g in "abcd" for _ in range(100)]
+        data = tmp_path / "wide.csv"
+        write_csv(data, ["group", *[f"x{j}" for j in range(10)]], rows)
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers-{workers}.json"
+            env = dict(os.environ, MCV_THREADS=workers, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "mcvtests.cli", "test", str(data), "--method", "permutation",
+                 "--B", "300", "--seed", "2", "--out", str(out)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+            )
+            try:
+                _, stderr = proc.communicate(timeout=120)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                raise
+            assert proc.returncode == EXIT_OK, stderr
+            deadline = time.monotonic() + 5.0
+            while _session_alive(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _session_alive(proc.pid)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
+def _session_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestIlrCommand:

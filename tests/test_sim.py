@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcvtests import sim
+from mcvtests import _resampling, sim
 from mcvtests.design import centering_matrix, tukey_contrasts
 from mcvtests.estimation import VARIANTS, DegeneracyError, McvVariant, mcv, sample_moments
 from mcvtests.numkit import make_rng, sym_sqrt
@@ -400,14 +400,14 @@ class TestWorkerPool:
         monkeypatch.setattr(sim, "_replicate_worker", _die)
         with pytest.raises(BrokenProcessPool):
             self.rows(2)
-        assert sim._pool is None
+        assert _resampling._pool is None
         assert len(pool_builds) == 1
 
     def test_a_forked_child_makes_its_own_pool(self, pool_builds):
         expected = self.rows(2)
 
         def child():
-            ok = self.rows(2) == expected and sim._pool[0] == os.getpid()
+            ok = self.rows(2) == expected and _resampling._pool[0] == os.getpid()
             sys.exit(0 if ok else 1)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
