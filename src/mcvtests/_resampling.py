@@ -208,7 +208,8 @@ def pooled_resample_estimates(
 
     With ``workers`` above one, a call of at least two chunks whose largest
     stack holds WORKER_MIN_ELEMENTS values or more deals its chunks out to
-    no more shares than it has chunks: chunk j goes to share j mod T.  Each
+    that many shares, no more than it has chunks: chunk j goes to share
+    j mod T.  Each
     share runs on the process's worker pool (``pool_map``) and the caller
     copies its rows into place.  A chunk's numbers depend only on its
     resamples' substreams, so the output is bit-identical for any worker
