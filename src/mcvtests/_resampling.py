@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -28,6 +30,14 @@ RESAMPLE_CHUNK = 128
 # too little to pay for the hand-off; the two-worker crossover table is in
 # CHANGES.md.
 WORKER_MIN_ELEMENTS = 4_000
+# Seconds of such calls a process runs serially before one of them starts
+# the worker pool.  Starting it (the forks, the copy-on-write faults both
+# sides then take, the stop at exit) cost about 25 ms on 2 vCPUs, what two
+# workers save on some 50 ms of serial work, so a process that resamples
+# less than that (a one-shot ``mcvtests test`` at 4x100 rows, d = 10, say)
+# never pays it, and one that resamples more forgoes at most that much
+# parallel work.
+POOL_START_SECONDS = 0.05
 # Columns of the per-group statistics produced by pooled_resample_estimates.
 COL_C, COL_B, COL_VAR_C, COL_VAR_B = 0, 1, 2, 3
 # How far the smallest eigenvalue of H Sigma H' must provably clear pinv's
@@ -82,28 +92,63 @@ def resampling_workers() -> int:
 
 
 # The process's worker pool as (pid, workers, executor, stop), or None.  Made
-# by the first parallel call, simulation or resampling, and kept while the
-# worker count stays the same; a forked child sees its parent's pid here and
-# makes its own.
+# by the first parallel call, simulation or resampling, and kept while it
+# fits the calls (``_pool_fits``); a forked child sees its parent's pid here
+# and makes its own.
 _pool: tuple[int, int, ProcessPoolExecutor, Finalize] | None = None
+# Held while a call reads, replaces or maps on the pool, so calls from
+# several threads take turns on it.
+_pool_lock = threading.RLock()
+# Seconds this process has spent on calls that waited for POOL_START_SECONDS.
+_serial_seconds = 0.0
 
 
-def can_fork_workers() -> bool:
-    """Whether this process may start a worker pool.
+def _after_fork_in_child() -> None:
+    # The thread that held the parent's lock may not exist in the child, and
+    # the child's resampling so far is none.
+    global _pool_lock, _serial_seconds
+    _pool_lock = threading.RLock()
+    _serial_seconds = 0.0
 
-    It needs the ``fork`` start method, and it must not be daemonic: a
-    ``multiprocessing.Pool`` worker may not have children.
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def can_start_workers() -> bool:
+    """Whether this process may start a worker pool: a daemonic one (a ``multiprocessing.Pool`` worker) may not."""
+    return not multiprocessing.current_process().daemon
+
+
+def workers_fork() -> bool:
+    """Whether the pool's workers would start by ``fork``: the start method set, else the platform's default.
+
+    A forked worker starts in milliseconds with the caller's modules loaded;
+    a spawned or forkserver one imports numpy and this package afresh, which
+    costs more than a resampling call gains.  Reading the method fixes no
+    start method.
     """
-    return "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon
+    method = multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
+    return method == "fork"
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """The process-wide executor with ``workers`` forked processes, made on first use."""
+def _pool_fits(workers: int, tasks: int) -> bool:
+    """Whether this process's pool runs ``tasks`` tasks with the parallelism of a pool of ``workers``.
+
+    Both run min(workers, tasks) of them at once, so a call with few tasks
+    uses a larger pool as it is, and a call never forks a worker it cannot use.
+    """
+    return _pool is not None and _pool[0] == os.getpid() and min(_pool[1], tasks) == min(workers, tasks)
+
+
+def _worker_pool(workers: int, tasks: int) -> ProcessPoolExecutor:
+    """The process-wide executor, replaced by one of ``workers`` processes unless it fits the call."""
     global _pool
-    if _pool is not None and _pool[:2] == (os.getpid(), workers):
+    if _pool_fits(workers, tasks):
         return _pool[2]
     _close_pool()
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    # The platform's start method, as the multiprocessing default context gives it.
+    pool = ProcessPoolExecutor(max_workers=workers)
     # Stopped at exit by concurrent.futures' exit hook, except in a
     # multiprocessing child: that joins its children before the hook runs,
     # so there this finalizer stops the pool first.  Its priority puts it
@@ -116,30 +161,32 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 def _close_pool() -> None:
     """Stop this process's pool, if any; a parent's pool is only forgotten."""
     global _pool
-    if _pool is not None:
-        _pool[3]()  # runs once, and only in the process that made the pool
-    _pool = None
+    with _pool_lock:
+        if _pool is not None:
+            _pool[3]()  # runs once, and only in the process that made the pool
+        _pool = None
 
 
 def pool_map(fn: Callable, tasks: list, workers: int, chunksize: int = 1) -> list:
-    """``[fn(t) for t in tasks]``, run on the process's pool of ``workers`` processes.
+    """``[fn(t) for t in tasks]``, run on the process's pool with up to ``workers`` processes.
 
     A pool that breaks is dropped.  A worker of a pool that an earlier call
     made may have died while the pool sat idle (killed by the OOM killer,
     say); every task's result depends only on the task, so the call then
     reruns once on a new pool and returns the same results.  A pool that
     breaks in the call that made it, or in the rerun, raises
-    ``BrokenProcessPool``.
+    ``BrokenProcessPool``.  Calls from several threads run one at a time.
     """
-    reused = _pool is not None and _pool[:2] == (os.getpid(), workers)
-    while True:
-        try:
-            return list(_worker_pool(workers).map(fn, tasks, chunksize=chunksize))
-        except BrokenProcessPool:
-            _close_pool()
-            if not reused:
-                raise
-            reused = False
+    with _pool_lock:
+        reused = _pool_fits(workers, len(tasks))
+        while True:
+            try:
+                return list(_worker_pool(workers, len(tasks)).map(fn, tasks, chunksize=chunksize))
+            except BrokenProcessPool:
+                _close_pool()
+                if not reused:
+                    raise
+                reused = False
 
 
 def _estimate_chunks(
@@ -209,27 +256,35 @@ def pooled_resample_estimates(
     With ``workers`` above one, a call of at least two chunks whose largest
     stack holds WORKER_MIN_ELEMENTS values or more deals its chunks out to
     that many shares, no more than it has chunks: chunk j goes to share
-    j mod T.  Each
-    share runs on the process's worker pool (``pool_map``) and the caller
-    copies its rows into place.  A chunk's numbers depend only on its
+    j mod T.  Each share runs on the process's worker pool (``pool_map``)
+    and the caller copies its rows into place.  A chunk's numbers depend only on its
     resamples' substreams, so the output is bit-identical for any worker
-    count.  A process that cannot fork workers (``can_fork_workers``) runs
-    serially.
+    count.  The pool is sized by the shares, so no worker is forked that
+    the call cannot use.  A call runs serially in a daemonic process
+    (``can_start_workers``), where the workers would not start by fork
+    (``workers_fork``), and while it would have to start a pool before the
+    process has spent POOL_START_SECONDS on such calls.
     """
+    global _serial_seconds
     k = len(sizes)
     step = RESAMPLE_CHUNK
     starts = range(0, resamples, step)
-    if min(step, resamples) * max(sizes) * pool.shape[1] < WORKER_MIN_ELEMENTS or not can_fork_workers():
+    if min(step, resamples) * max(sizes) * pool.shape[1] < WORKER_MIN_ELEMENTS:
         workers = 1
     shares = min(workers, len(starts))
     estimate = partial(_estimate_chunks, variant, pool, sizes, resamples, rng, replace, step)
-    if shares <= 1:
+    parallel = shares > 1 and can_start_workers() and workers_fork()
+    waits = parallel and not _pool_fits(shares, shares) and _serial_seconds < POOL_START_SECONDS
+    if not parallel or waits:
+        begin = time.perf_counter()
         out, codes = estimate(starts)
+        if waits:
+            _serial_seconds += time.perf_counter() - begin
     else:
         out = np.empty((resamples, k, 4))
         codes = np.empty((resamples, k), dtype=np.int8)
         plan = [starts[t::shares] for t in range(shares)]
-        for share, (rows, share_codes) in zip(plan, pool_map(estimate, plan, workers)):
+        for share, (rows, share_codes) in zip(plan, pool_map(estimate, plan, shares)):
             at = np.concatenate([np.arange(s, min(s + step, resamples)) for s in share])
             out[at], codes[at] = rows, share_codes
     degenerate = codes.any(axis=1)

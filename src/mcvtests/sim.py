@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._resampling import (
-    can_fork_workers,
+    can_start_workers,
     group_stats,
     mcv_threads,
     pool_map,
@@ -371,7 +371,7 @@ def worker_count(requested: int | None = None) -> int:
 
 def _run_engine(es: _EngineSpec, replicates: int, workers: int | None) -> list[dict]:
     workers = worker_count(workers)
-    if workers <= 1 or replicates <= 1 or not can_fork_workers():
+    if workers <= 1 or replicates <= 1 or not can_start_workers():
         return [_run_replicate(es, r) for r in range(replicates)]
     tasks = [(es, r) for r in range(replicates)]
     chunk = max(1, replicates // (workers * 8))
@@ -441,9 +441,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioRes
     worker pool, which resampling calls share.  With more than one, the
     workers start at the first parallel call and are reused by later calls
     with the same count; a different count replaces them, and they end when
-    the interpreter exits.  They are forked at their start, so code patched
-    in this process after the first parallel call does not reach them.  A
-    process that cannot fork workers runs the replicates itself.
+    the interpreter exits.  They start by the platform's start method
+    (forked on Linux), so code patched in this process after the first
+    parallel call does not reach them.  A daemonic process, which may not
+    have children, runs the replicates itself.
     """
     start = time.perf_counter()
     mu = np.asarray(cfg.mu, dtype=float)

@@ -9,9 +9,12 @@ def fresh_pool(monkeypatch):
 
     Workers fork at the pool's first use and keep the code they saw then, so
     a test that patches a name the workers call takes this fixture: its
-    workers see the patch, and later tests do not inherit them.
+    workers see the patch, and later tests do not inherit them.  The first
+    parallel resampling call starts the pool (no serial start-up budget).
     """
     monkeypatch.delenv("MCV_THREADS", raising=False)
+    monkeypatch.setattr(_resampling, "POOL_START_SECONDS", 0.0)
+    monkeypatch.setattr(_resampling, "_serial_seconds", 0.0)
     _resampling._close_pool()
     yield
     _resampling._close_pool()

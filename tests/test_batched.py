@@ -12,9 +12,13 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import time
+import types
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -634,8 +638,9 @@ class TestWorkers:
         ],
     )
     def test_when_workers_run(self, monkeypatch, threshold, resamples, workers, shares):
-        # A parallel call hands its shares to a pool of ``workers`` processes;
-        # a serial call makes no pool.
+        # A parallel call hands its shares to a pool of one process per
+        # share, so it forks no worker it cannot use; a serial call makes no
+        # pool.
         calls = []
 
         def spy(fn, tasks, count, *rest):
@@ -648,8 +653,104 @@ class TestWorkers:
         monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", threshold)
         pool = 1.5 + np.random.default_rng(15).standard_normal((30, 3))
         pooled_resample_estimates(McvVariant.VV, pool, (9, 10, 11), resamples, make_rng(2), True, workers)
-        assert calls == ([(shares, workers)] if shares else [])
+        assert calls == ([(shares, shares)] if shares else [])
         assert (_resampling._pool is None) == (shares == 0)
+        if shares:
+            assert _resampling._pool[1] == shares
+
+    def test_a_pool_starts_once_the_serial_budget_is_spent(self, monkeypatch, pool_builds):
+        # Each timed call reads 0.5 s on a fake clock.  With a budget of 1 s
+        # the first two parallel calls run serially and start no pool; the
+        # third starts one, and a call that fits it uses it at once.
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(_resampling, "POOL_START_SECONDS", 1.0)
+        ticks = iter(np.arange(0.0, 100.0, 0.5))
+        monkeypatch.setattr(_resampling, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        pool = 1.5 + np.random.default_rng(24).standard_normal((30, 3))
+        args = (McvVariant.VN, pool, (9, 10, 11), 40, make_rng(9), True)
+        want = pooled_resample_estimates(*args)
+        for workers, built, spent in ((2, 0, 0.5), (2, 0, 1.0), (2, 1, 1.0), (2, 1, 1.0)):
+            got = pooled_resample_estimates(*args, workers)
+            assert (len(pool_builds), _resampling._serial_seconds) == (built, spent)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_a_larger_pool_serves_a_call_of_fewer_shares(self, monkeypatch, pool_builds):
+        # Six chunks at a cap of 3 make a pool of three; a call of two chunks
+        # runs on it as is.  A pool of two cannot run three shares at once,
+        # so a call that has three replaces it.
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
+        pool = 1.5 + np.random.default_rng(21).standard_normal((30, 3))
+        for resamples, built, size in ((40, 1, 3), (14, 1, 3), (40, 1, 3)):
+            pooled_resample_estimates(McvVariant.VV, pool, (9, 10, 11), resamples, make_rng(3), True, 3)
+            assert (len(pool_builds), _resampling._pool[1]) == (built, size)
+        _resampling._close_pool()
+        for resamples, built, size in ((14, 2, 2), (40, 3, 3)):
+            pooled_resample_estimates(McvVariant.VV, pool, (9, 10, 11), resamples, make_rng(3), True, 3)
+            assert (len(pool_builds), _resampling._pool[1]) == (built, size)
+
+    def test_calls_from_two_threads_take_turns_on_the_pool(self, monkeypatch):
+        # Two threads whose calls want pools of two and three workers replace
+        # each other's pool on every call; neither may find its pool shut
+        # down under it, and every call gives the serial rows.
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
+        pool = 1.5 + np.random.default_rng(22).standard_normal((30, 3))
+        args = (McvVariant.VV, pool, (9, 10, 11), 40, make_rng(7), False)
+        want = pooled_resample_estimates(*args)
+
+        def calls(workers):
+            return [pooled_resample_estimates(*args, workers) for _ in range(12)]
+
+        with ThreadPoolExecutor(2) as threads:
+            results = [rows for rows_list in threads.map(calls, (2, 3)) for rows in rows_list]
+        for got in results:
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_pool_map_runs_under_a_non_fork_start_method(self, tmp_path):
+        # Under spawn (the default on macOS and Windows) the pool's workers
+        # import the package afresh: pool_map still gives the serial rows, the
+        # simulator still runs on workers, and a resampling call stays serial
+        # (``workers_fork``), making no pool.
+        script = tmp_path / "spawned.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "from functools import partial\n"
+            "import numpy as np\n"
+            "from mcvtests import _resampling\n"
+            "from mcvtests.estimation import McvVariant\n"
+            "from mcvtests.numkit import make_rng\n"
+            "from mcvtests.sim import ScenarioConfig, run_scenario, tidy_rows\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    _resampling.WORKER_MIN_ELEMENTS = 0\n"
+            "    pool = 1.5 + np.random.default_rng(23).standard_normal((30, 3))\n"
+            "    task = partial(_resampling._estimate_chunks, McvVariant.RR, pool, (9, 10, 11), 40, make_rng(8),\n"
+            "                   True, 7)\n"
+            "    want = task(range(0, 40, 7))\n"
+            "    shares = _resampling.pool_map(task, [range(0, 40, 14), range(7, 40, 14)], 2)\n"
+            "    rows, codes = (np.concatenate([shares[t][j][a : a + 7] for a in (0, 7, 14) for t in (0, 1)])\n"
+            "                   for j in (0, 1))\n"
+            "    assert np.array_equal(rows, want[0], equal_nan=True) and np.array_equal(codes, want[1])\n"
+            "    assert _resampling._pool[1] == 2 and not _resampling.workers_fork()\n"
+            "    _resampling._close_pool()\n"
+            "    args = (McvVariant.RR, pool, (9, 10, 11), 40, make_rng(8), True)\n"
+            "    got, serial = (_resampling.pooled_resample_estimates(*args, w) for w in (2, 1))\n"
+            "    assert _resampling._pool is None\n"
+            "    assert np.array_equal(got[0], serial[0], equal_nan=True) and np.array_equal(got[1], serial[1])\n"
+            "    cfg = ScenarioConfig(name='spawn', k=2, d=2, n=(10, 10), distribution='normal', rho=0.1,\n"
+            "                         mu=(2.0, 1.0), targets=(0.5, 0.5), variant=McvVariant.VV,\n"
+            "                         replicates=4, resamples=8)\n"
+            "    assert tidy_rows(run_scenario(cfg, workers=2)) == tidy_rows(run_scenario(cfg, workers=1))\n"
+            "    assert _resampling._pool[1] == 2\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(_resampling.__file__).parents[1]))
+        env.pop("MCV_THREADS", None)
+        proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_more_workers_than_cores(self, monkeypatch):
         # Four workers on 30 one-resample chunks: a row copied to the wrong
@@ -706,9 +807,12 @@ class TestWorkers:
         want = pooled_resample_estimates(*args, workers=2)
 
         def child():
+            fresh = _resampling._serial_seconds == 0.0
             got = pooled_resample_estimates(*args, workers=2)
             ok = np.array_equal(got[0], want[0], equal_nan=True) and _resampling._pool[0] == os.getpid()
-            sys.exit(0 if ok else 1)
+            sys.exit(0 if ok and fresh else 1)
+
+        monkeypatch.setattr(_resampling, "_serial_seconds", 7.0)  # the parent's count stays behind
 
         proc = multiprocessing.get_context("fork").Process(target=child)
         proc.start()

@@ -310,10 +310,19 @@ class TestResamplingWorkers:
 
     def test_one_shot_command_exits_and_leaves_no_process(self, tmp_path):
         # 4 groups of 100 rows at d = 10: each chunk's stacks reach the worker
-        # threshold, so with two workers the command forks a pool.  It must
-        # exit 0, write the serial run's bytes, and leave no process of its
-        # session (workers keep their parent's session) behind.
+        # threshold, so with two workers and no serial start-up budget the
+        # command forks a pool.  It must exit 0, write the serial run's bytes,
+        # and leave no process of its session (workers keep their parent's
+        # session) behind.
         assert 128 * 100 * 10 >= _resampling.WORKER_MIN_ELEMENTS
+        command = (
+            "import sys\n"
+            "from mcvtests import _resampling, cli\n"
+            "_resampling.POOL_START_SECONDS = 0.0\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(_resampling._pool is not None)\n"
+            "sys.exit(code)\n"
+        )
         gen = make_rng(9).generator()
         rows = [[g, *[f"{v:.10f}" for v in 2.0 + gen.standard_normal(10)]] for g in "abcd" for _ in range(100)]
         data = tmp_path / "wide.csv"
@@ -323,17 +332,18 @@ class TestResamplingWorkers:
             out = tmp_path / f"workers-{workers}.json"
             env = dict(os.environ, MCV_THREADS=workers, PYTHONPATH=str(Path(cli.__file__).parents[1]))
             proc = subprocess.Popen(
-                [sys.executable, "-m", "mcvtests.cli", "test", str(data), "--method", "permutation",
+                [sys.executable, "-c", command, "test", str(data), "--method", "permutation",
                  "--B", "300", "--seed", "2", "--out", str(out)],
                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
             )
             try:
-                _, stderr = proc.communicate(timeout=120)
+                stdout, stderr = proc.communicate(timeout=120)
             except subprocess.TimeoutExpired:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate()
                 raise
             assert proc.returncode == EXIT_OK, stderr
+            assert stdout.split() == [str(workers == "2")]
             deadline = time.monotonic() + 5.0
             while _session_alive(proc.pid) and time.monotonic() < deadline:
                 time.sleep(0.05)
