@@ -257,13 +257,13 @@ def pooled_resample_estimates(
     stack holds WORKER_MIN_ELEMENTS values or more deals its chunks out to
     that many shares, no more than it has chunks: chunk j goes to share
     j mod T.  Each share runs on the process's worker pool (``pool_map``)
-    and the caller copies its rows into place.  A chunk's numbers depend only on its
-    resamples' substreams, so the output is bit-identical for any worker
-    count.  The pool is sized by the shares, so no worker is forked that
-    the call cannot use.  A call runs serially in a daemonic process
-    (``can_start_workers``), where the workers would not start by fork
-    (``workers_fork``), and while it would have to start a pool before the
-    process has spent POOL_START_SECONDS on such calls.
+    and the caller copies its rows into place.  A chunk's numbers depend
+    only on its resamples' substreams, so the output is bit-identical for
+    any worker count.  The pool is sized by the shares, so no worker is
+    forked that the call cannot use.  A call runs serially in a daemonic
+    process (``can_start_workers``), where the workers would not start by
+    fork (``workers_fork``), and while it would have to start a pool before
+    the process has spent POOL_START_SECONDS on such calls.
     """
     global _serial_seconds
     k = len(sizes)

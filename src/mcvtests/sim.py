@@ -440,10 +440,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioRes
     Replicates run in ``worker_count(workers)`` processes, the process's one
     worker pool, which resampling calls share.  With more than one, the
     workers start at the first parallel call and are reused by later calls
-    with the same count; a different count replaces them, and they end when
-    the interpreter exits.  They start by the platform's start method
-    (forked on Linux), so code patched in this process after the first
-    parallel call does not reach them.  A daemonic process, which may not
+    that the pool fits; another count replaces them, and they end when the
+    interpreter exits.  They start by the platform's start method (forked
+    on Linux before Python 3.14), so code patched in this process after the
+    first parallel call does not reach them.  A daemonic process, which may not
     have children, runs the replicates itself.
     """
     start = time.perf_counter()
