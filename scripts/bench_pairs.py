@@ -12,11 +12,12 @@ ones.  A first seed past those used while a change was written shows that
 its gain holds on fresh inputs (perfbench/refs.json covers seeds 0-31).
 Nothing under ``perfbench/`` is edited; the run records each side writes to
 its own ``.perfbench/`` are read back for the figures as measured, for the
-median calibration block of each workload and for the per-variant
-``cli-inference`` latencies.  Each run's minor page faults and
-CPU seconds (user + sys) are the growth of this process's RUSAGE_CHILDREN
-counts across the run, so they cover the run and every process it reaped
-(simulation workers included); its wall seconds are timed beside them.
+median calibration block and the median set-up probe of each workload and
+for the per-variant ``cli-inference`` latencies.  Each run's minor page
+faults and CPU seconds (user + sys) are the growth of this process's
+RUSAGE_CHILDREN counts across the run, so they cover the run and every
+process it reaped (simulation workers included); its wall seconds are timed
+beside them.
 Run it on an otherwise idle machine.
 """
 
@@ -147,6 +148,12 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], declared: dict, 
                     "scales the end-to-end timings; a change that speeds the kernel itself up "
                     "moves this figure and scales its own gains down",
         },
+        "setup_probes_s": {
+            "what": "per run, the median of the run record's setup_probes_s: the wall seconds "
+                    "of the fresh processes that only set the workload up, as measured; setup_s "
+                    "is this median times the factor from the set-up calibration blocks, which "
+                    "swing between runs",
+        },
         "correct": {},
         "minor_page_faults": {
             "what": "minor page faults of each whole --workload all run (every workload, set-up "
@@ -178,6 +185,10 @@ def build(runs: dict[str, list[dict]], commits: dict[str, str], declared: dict, 
             "higher")
         out["calibration_block_s"][name] = compare(
             *(series(s, name, lambda rec, summ: statistics.median(rec["calibration_blocks_s"]))
+              for s in SIDES),
+            "lower")
+        out["setup_probes_s"][name] = compare(
+            *(series(s, name, lambda rec, summ: statistics.median(rec["setup_probes_s"]))
               for s in SIDES),
             "lower")
         out["correct"][name] = {

@@ -10,8 +10,8 @@ der Vaart, Asymptotic Statistics, 1998, ch. 3 and 20): the delta-method
 quadratic form (s/4) a M a^T without the d^2 x d^2 moment matrices, with the
 gradient in log space and each sample rescaled by a power of two first.  rr
 and vn need full-rank covariances: one stacked inverse proves full rank for
-most resamples, and only the rest go through ``numeric_rank``'s eigenvalue
-screen and SVD (``_rank_deficient``); rr and vn reuse that inverse.
+most resamples, and only the rest go through ``numeric_rank``'s SVD
+(``_rank_deficient``); rr and vn reuse that inverse.
 
 A single sample is, for now, still estimated through the explicit quadratic
 form in its third/fourth mixed-moment matrices (``sample_moments``,

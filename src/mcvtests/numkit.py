@@ -3,6 +3,10 @@
 Everything here operates on plain float64 ``numpy`` arrays and is sized for
 small dense problems (dimension up to a few dozen); the statistical modules
 build on these primitives.
+
+This is the package's one caller of scipy: ``normal_quantile`` and
+``chi2_sf`` import ``scipy.special`` on first use, so importing the package
+loads no scipy module, and the permutation and bootstrap tests never do.
 """
 
 from __future__ import annotations
@@ -10,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "RngStream",
     "check_alpha",
+    "chi2_sf",
     "make_rng",
     "mvn_equicoordinate_quantile",
     "mvn_maxabs_sample",
+    "normal_quantile",
     "numeric_rank",
     "order_statistic",
     "pinv",
@@ -26,11 +31,9 @@ __all__ = [
 
 # Eigenvalue slack when deciding whether a symmetric matrix is acceptably PSD.
 PSD_TOL = 1e-8
-# numeric_rank takes the rank of a stacked symmetric matrix from its
-# eigenvalues only when none lies within this factor of the cut-off.  On
-# exactly singular integer matrices (d <= 6), eigvalsh rounded zero
-# eigenvalues up to 0.9 of the cut-off and the SVD up to 0.3, so beyond 16
-# both counts agree.
+# estimation._rank_deficient settles a covariance's full rank from its
+# inverse only when its bound clears numeric_rank's cut-off by this factor,
+# a margin for the rounding in the inverse; closer slices take the SVD.
 RANK_SCREEN = 16.0
 
 # Constants of numpy's SeedSequence (O'Neill's seed_seq design, 4-word pool).
@@ -202,15 +205,9 @@ def pinv(a: np.ndarray, tol: float | None = None) -> np.ndarray:
 def numeric_rank(a: np.ndarray, tol: float | None = None) -> int | np.ndarray:
     """Number of singular values above ``tol * sigma_max * max(rows, cols)``.
 
-    For a stack of matrices, an array with the rank of each.  A stack of
-    exactly symmetric matrices (covariances) is first screened by its
-    eigenvalues, whose absolute values are the singular values and cost a
-    fraction of a stacked SVD.  They carry somewhat more rounding than the
-    SVD's, so they settle only a rank they leave in no doubt: a matrix with
-    an eigenvalue within RANK_SCREEN times the cut-off gets the SVD's count.
-    A single matrix always takes the SVD, which costs less than the screen.
-    The resampled covariances of the estimation kernel reach this function
-    only when a bound from their inverse leaves their rank open (see
+    For a stack of matrices, an array with the rank of each.  The resampled
+    covariances of the estimation kernel reach this function only when a
+    bound from their inverse leaves their rank open (see
     ``estimation._rank_deficient``).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -218,15 +215,8 @@ def numeric_rank(a: np.ndarray, tol: float | None = None) -> int | np.ndarray:
         return 0
     if tol is None:
         tol = float(np.finfo(float).eps)
+    s = np.linalg.svd(a, compute_uv=False)
     size = max(a.shape[-2:])
-    if a.ndim > 2 and a.shape[-1] == a.shape[-2] and np.array_equal(a, a.swapaxes(-1, -2)):
-        s = np.abs(np.linalg.eigvalsh(a))
-        near = s <= RANK_SCREEN * tol * s.max(axis=-1, keepdims=True) * size
-        unclear = near.any(axis=-1)
-        if unclear.any():
-            s[unclear] = np.linalg.svd(a[unclear], compute_uv=False)
-    else:
-        s = np.linalg.svd(a, compute_uv=False)
     rank = np.sum(s > tol * s.max(axis=-1, keepdims=True) * size, axis=-1)
     return int(rank) if a.ndim == 2 else rank
 
@@ -248,7 +238,21 @@ def sym_sqrt(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
 
 def normal_quantile(p: float) -> float:
     """Standard normal quantile."""
+    from scipy.special import ndtri
+
     return float(ndtri(p))
+
+
+def chi2_sf(x: float, df: float) -> float:
+    """Upper tail P(X > x) of the chi-square distribution with ``df`` degrees of freedom.
+
+    scipy's ``chi2.sf`` bit for bit: that is ``chdtrc`` on x clipped at
+    zero (``chdtrc`` alone gives NaN below zero, where the tail is 1).  A
+    NaN ``x`` stays NaN, since ``max`` keeps its first argument.
+    """
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, max(x, 0.0)))
 
 
 # Normal values per chunk of mvn_maxabs_sample (64 KiB).

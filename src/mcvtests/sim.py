@@ -34,7 +34,7 @@ from ._resampling import (
 )
 from .design import centering_matrix, tukey_contrasts
 from .estimation import DegeneracyError, McvVariant, Sample, mcv
-from .numkit import RngStream, check_alpha, make_rng, sym_sqrt
+from .numkit import RngStream, check_alpha, make_rng, normal_quantile, sym_sqrt
 from .tests_global import Target, _wald_test
 from .tests_multiple import _mct_test
 
@@ -259,8 +259,6 @@ class ScenarioResult:
 
 def band_bounds(alpha: float, replicates: int, level: float = 0.95) -> tuple[float, float]:
     """Binomial-proportion band around alpha for the given replicate count."""
-    from .numkit import normal_quantile
-
     z = normal_quantile(0.5 + level / 2.0)
     half = z * math.sqrt(alpha * (1.0 - alpha) / replicates)
     return alpha - half, alpha + half

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from ._resampling import (
     pooled_resample_estimates,
@@ -30,7 +29,7 @@ from ._resampling import (
 )
 from .design import ContrastMatrix, validate_contrast
 from .estimation import DegeneracyError, McvVariant, Sample, estimate
-from .numkit import RngStream, check_alpha, numeric_rank
+from .numkit import RngStream, check_alpha, chi2_sf, numeric_rank
 
 __all__ = [
     "GroupedData",
@@ -202,7 +201,7 @@ def _wald_test(
     if resampled is None:
         if rank < 1:
             raise DegeneracyError("contrasted covariance has rank zero; no asymptotic reference")
-        return TestResult(stat, rank, float(chi2.sf(stat, rank)), method, alpha)
+        return TestResult(stat, rank, chi2_sf(stat, rank), method, alpha)
     stats, degenerate = resampled
     values = wald_resample_stats(stats, degenerate, kind, h, n, n / np.asarray(sizes, dtype=float))
     p = resampling_p_value(values, stat)

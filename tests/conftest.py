@@ -1,3 +1,8 @@
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from mcvtests import _resampling
@@ -32,3 +37,27 @@ def pool_builds(fresh_pool, monkeypatch):
 
     monkeypatch.setattr(_resampling, "ProcessPoolExecutor", counting)
     return built
+
+
+def _kill_a_worker(executor):
+    """Kill one worker of ``executor`` and wait until the executor knows it is broken.
+
+    The executor may finish a call on its surviving workers before it notices
+    the death, so a test that expects the next call to rebuild the pool must
+    wait for this first.
+    """
+    os.kill(executor.submit(os.getpid).result(), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        try:
+            executor.submit(os.getpid).result()
+        except BrokenProcessPool:
+            return
+        time.sleep(0.01)
+    raise AssertionError("the pool never noticed its killed worker")
+
+
+@pytest.fixture
+def kill_a_worker():
+    """``_kill_a_worker``: kill one worker of an executor and wait until it reports itself broken."""
+    return _kill_a_worker

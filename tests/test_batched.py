@@ -11,13 +11,10 @@ counts, and against a loop that seeds every resample's stream on its own.
 import math
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
-import time
 import types
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from unittest import mock
 
@@ -578,19 +575,6 @@ class TestChunking:
                 np.testing.assert_allclose(stats[b, i], want, rtol=RTOL)
 
 
-def _kill_a_worker(executor):
-    """Kill one worker of ``executor`` and wait until the executor knows it is broken."""
-    os.kill(executor.submit(os.getpid).result(), signal.SIGKILL)
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        try:
-            executor.submit(os.getpid).result()
-        except BrokenProcessPool:
-            return
-        time.sleep(0.01)
-    raise AssertionError("the pool never noticed its killed worker")
-
-
 def _resample_in_daemon(args):
     """A parallel call made inside a multiprocessing.Pool worker, and whether it made a pool."""
     rows = pooled_resample_estimates(*args, workers=2)
@@ -784,7 +768,7 @@ class TestWorkers:
         _resampling._close_pool()
         assert multiprocessing.active_children() == []
 
-    def test_a_pool_killed_between_calls_fails_no_call(self, monkeypatch, pool_builds):
+    def test_a_pool_killed_between_calls_fails_no_call(self, monkeypatch, pool_builds, kill_a_worker):
         monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
         monkeypatch.setattr(_resampling, "WORKER_MIN_ELEMENTS", 0)
         pool = 1.5 + np.random.default_rng(18).standard_normal((30, 3))
@@ -793,7 +777,7 @@ class TestWorkers:
         got = pooled_resample_estimates(*args, workers=2)
         assert len(pool_builds) == 1
         for _ in range(2):
-            _kill_a_worker(pool_builds[-1])
+            kill_a_worker(pool_builds[-1])
             got = pooled_resample_estimates(*args, workers=2)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])

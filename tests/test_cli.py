@@ -360,6 +360,40 @@ def _session_alive(pgid: int) -> bool:
     return True
 
 
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import mcvtests, mcvtests.cli
+steps = [("import", None)] + [(" ".join(argv), argv) for argv in json.loads(sys.argv[1])]
+seen = {}
+for name, argv in steps:
+    if argv is not None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert mcvtests.cli.main(argv) == 0, name
+    seen[name] = sorted(m for m in ("scipy.special", "scipy.stats") if m in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+class TestScipyLoading:
+    """Only a chi-square tail or a normal quantile loads scipy, and only scipy.special."""
+
+    def test_resampling_commands_load_no_scipy(self, four_group_file):
+        runs = [
+            ["test", "--method", "permutation", "--B", "20"],
+            ["test", "--method", "bootstrap", "--B", "20"],
+            ["mct", "--method", "bootstrap", "--B", "20"],
+            ["mct", "--method", "asymptotic", "--mc-draws", "500"],
+            ["test", "--method", "asymptotic"],
+        ]
+        runs = [[argv[0], four_group_file, *argv[1:]] for argv in runs]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen = list(json.loads(proc.stdout).values())
+        assert seen == [[]] * 5 + [["scipy.special"]]
+
+
 class TestIlrCommand:
     def test_closed_form_two_parts(self, tmp_path, capsys):
         path = tmp_path / "comp.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
+from scipy.stats import chi2
 
 from mcvtests import numkit
 from mcvtests.design import tukey_contrasts
@@ -12,6 +13,7 @@ from mcvtests.numkit import (
     MC_CHUNK_VALUES,
     RngStream,
     check_alpha,
+    chi2_sf,
     make_rng,
     mvn_equicoordinate_quantile,
     mvn_maxabs_sample,
@@ -130,19 +132,24 @@ class TestNumericRank:
         np.testing.assert_array_equal(numeric_rank(a), want)
         assert [numeric_rank(m) for m in a] == list(want)
 
-    def test_full_rank_covariances_skip_the_svd(self, monkeypatch):
+    def test_covariance_stacks_rank_each_slice(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((16, 40, 5))
         xc = x - x.mean(axis=1, keepdims=True)
         cov = xc.transpose(0, 2, 1) @ xc
         cov = (cov + cov.transpose(0, 2, 1)) / 80.0
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
-        assert list(numeric_rank(cov)) == [5] * 16
-        assert calls == []
-        cov[4, :, 2] = cov[4, 2, :] = 0.0  # a constant coordinate: the SVD decides
-        assert numeric_rank(cov)[4] == 4 and calls == [1]
+        cov[4, :, 2] = cov[4, 2, :] = 0.0  # a constant coordinate
+        want = [5] * 4 + [4] + [5] * 11
+        np.testing.assert_array_equal(numeric_rank(cov), want)
+        assert [numeric_rank(m) for m in cov] == want
+
+    def test_rectangular_stacks_rank_each_slice(self):
+        a = np.random.default_rng(4).standard_normal((5, 3, 6))
+        a[1, 2] = a[1, 0] - 2.0 * a[1, 1]
+        a[3] = 0.0
+        want = [3, 2, 3, 0, 3]
+        np.testing.assert_array_equal(numeric_rank(a), want)
+        assert [numeric_rank(m) for m in a] == want
 
 
 def normal_pdf(x):
@@ -240,6 +247,35 @@ class TestEquicoordinateQuantile:
             mvn_equicoordinate_quantile(np.eye(2), 0.0, 100)
         with pytest.raises(ValueError, match="not PSD"):
             mvn_equicoordinate_quantile(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.05, 100)
+
+
+def same_float(a, b):
+    """Equal bits, or both NaN (whose payloads scipy does not promise)."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
+
+
+class TestChi2Sf:
+    """chi2_sf is scipy's chi2.sf, bit for bit, including below zero."""
+
+    XS = (-math.inf, -1.0, -1e-17, -0.0, 0.0, 5e-324, 1e-300, 1e-10, 1e-3, 0.5, 1.0, 3.84,
+          10.0, 100.0, 1e3, 1e5, 1e300, math.inf, math.nan)
+
+    @pytest.mark.parametrize("df", range(1, 41))
+    def test_matches_scipy_on_edge_values(self, df):
+        for x in self.XS:
+            got = chi2_sf(x, df)
+            assert type(got) is float
+            assert same_float(got, chi2.sf(x, df)), (x, df, got)
+
+    def test_negative_statistics_have_tail_one(self):
+        # A Wald statistic that rounds below zero must give p = 1, not NaN.
+        assert chi2_sf(-1e-17, 3) == 1.0
+        assert math.isnan(chi2_sf(math.nan, 3))
+
+    @given(st.floats(allow_nan=True, allow_infinity=True), st.integers(1, 200))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scipy(self, x, df):
+        assert same_float(chi2_sf(x, df), chi2.sf(x, df))
 
 
 class TestOrderStatisticAndAlpha:

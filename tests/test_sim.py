@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -388,9 +387,9 @@ class TestWorkerPool:
         with pytest.raises(RuntimeError, match="shutdown"):
             pool_builds[0].submit(os.getpid)
 
-    def test_a_worker_killed_between_calls_fails_no_call(self, pool_builds):
+    def test_a_worker_killed_between_calls_fails_no_call(self, pool_builds, kill_a_worker):
         expected = self.rows(2)
-        os.kill(pool_builds[0].submit(os.getpid).result(), signal.SIGKILL)
+        kill_a_worker(pool_builds[0])
         assert self.rows(2) == expected
         assert len(pool_builds) == 2
         assert self.rows(2) == expected
