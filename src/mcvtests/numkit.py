@@ -22,7 +22,6 @@ __all__ = [
     "make_rng",
     "mvn_equicoordinate_quantile",
     "mvn_maxabs_sample",
-    "normal_quantile",
     "numeric_rank",
     "order_statistic",
     "pinv",

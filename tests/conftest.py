@@ -39,25 +39,24 @@ def pool_builds(fresh_pool, monkeypatch):
     return built
 
 
-def _kill_a_worker(executor):
-    """Kill one worker of ``executor`` and wait until the executor knows it is broken.
+@pytest.fixture
+def kill_a_worker():
+    """A function that kills one worker of an executor and waits until the executor knows it is broken.
 
     The executor may finish a call on its surviving workers before it notices
     the death, so a test that expects the next call to rebuild the pool must
     wait for this first.
     """
-    os.kill(executor.submit(os.getpid).result(), signal.SIGKILL)
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        try:
-            executor.submit(os.getpid).result()
-        except BrokenProcessPool:
-            return
-        time.sleep(0.01)
-    raise AssertionError("the pool never noticed its killed worker")
 
+    def kill(executor):
+        os.kill(executor.submit(os.getpid).result(), signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            try:
+                executor.submit(os.getpid).result()
+            except BrokenProcessPool:
+                return
+            time.sleep(0.01)
+        raise AssertionError("the pool never noticed its killed worker")
 
-@pytest.fixture
-def kill_a_worker():
-    """``_kill_a_worker``: kill one worker of an executor and wait until it reports itself broken."""
-    return _kill_a_worker
+    return kill

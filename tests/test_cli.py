@@ -377,7 +377,7 @@ print(json.dumps(seen))
 class TestScipyLoading:
     """Only a chi-square tail or a normal quantile loads scipy, and only scipy.special."""
 
-    def test_resampling_commands_load_no_scipy(self, four_group_file):
+    def test_only_a_chi_square_tail_loads_scipy_special(self, four_group_file):
         runs = [
             ["test", "--method", "permutation", "--B", "20"],
             ["test", "--method", "bootstrap", "--B", "20"],

@@ -257,6 +257,8 @@ def same_float(a, b):
 class TestChi2Sf:
     """chi2_sf is scipy's chi2.sf, bit for bit, including below zero."""
 
+    # A Wald statistic that rounds below zero must give p = 1 (chdtrc alone
+    # gives NaN there), and a NaN one a NaN p-value.
     XS = (-math.inf, -1.0, -1e-17, -0.0, 0.0, 5e-324, 1e-300, 1e-10, 1e-3, 0.5, 1.0, 3.84,
           10.0, 100.0, 1e3, 1e5, 1e300, math.inf, math.nan)
 
@@ -266,11 +268,6 @@ class TestChi2Sf:
             got = chi2_sf(x, df)
             assert type(got) is float
             assert same_float(got, chi2.sf(x, df)), (x, df, got)
-
-    def test_negative_statistics_have_tail_one(self):
-        # A Wald statistic that rounds below zero must give p = 1, not NaN.
-        assert chi2_sf(-1e-17, 3) == 1.0
-        assert math.isnan(chi2_sf(math.nan, 3))
 
     @given(st.floats(allow_nan=True, allow_infinity=True), st.integers(1, 200))
     @settings(max_examples=500, deadline=None)
