@@ -368,7 +368,7 @@ def _rank_deficient(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     A slice whose inverse gives 1/||S^-1||_F > RANK_SCREEN * eps * d * trace S
     has full rank: lambda_min >= 1/||S^-1||_F and sigma_max <= trace S, so its
     smallest eigenvalue clears numeric_rank's cut-off eps * d * sigma_max by
-    the screen's margin.  Only the slices this bound does not settle go to
+    a factor of RANK_SCREEN.  Only the slices this bound does not settle go to
     ``numeric_rank``, exactly singular ones (a zero LU pivot) among them.
     The inverse is None when a zero-pivot slice has full numeric rank.
     """
