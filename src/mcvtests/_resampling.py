@@ -38,6 +38,13 @@ WORKER_MIN_ELEMENTS = 4_000
 # never pays it, and one that resamples more forgoes at most that much
 # parallel work.
 POOL_START_SECONDS = 0.05
+# Largest buffer, in bytes, that _estimate_chunks keeps for its thread's next
+# call.  glibc maps a fresh block above its 128 KiB mmap threshold and faults
+# it in page by page on every call: a paper-size-small replicate, whose
+# buffers take 120-310 KB, took 140-200 minor faults that way and none with
+# kept buffers.  A call whose buffers pass the cap computes for far longer
+# than it faults, and a kept buffer lives as long as its thread.
+KEEP_MAX_BYTES = 4 << 20
 # Columns of the per-group statistics produced by pooled_resample_estimates.
 COL_C, COL_B, COL_VAR_C, COL_VAR_B = 0, 1, 2, 3
 # How far the smallest eigenvalue of H Sigma H' must provably clear pinv's
@@ -91,6 +98,8 @@ def resampling_workers() -> int:
     return mcv_threads() or cpus or 1
 
 
+# This thread's kept buffers of _estimate_chunks, by name (see _scratch).
+_kept = threading.local()
 # The process's worker pool as (pid, workers, executor, stop), or None.  Made
 # by the first parallel call, simulation or resampling, and kept while it
 # fits the calls (``_pool_fits``); a forked child sees its parent's pid here
@@ -189,6 +198,21 @@ def pool_map(fn: Callable, tasks: list, workers: int, chunksize: int = 1) -> lis
                 reused = False
 
 
+def _scratch(name: str, size: int, dtype: type = np.float64) -> np.ndarray:
+    """``size`` values of this thread's kept buffer ``name``, grown when short.
+
+    Above KEEP_MAX_BYTES the buffer is a fresh array that is not kept.  The
+    values are whatever the last user left there.
+    """
+    if size * np.dtype(dtype).itemsize > KEEP_MAX_BYTES:
+        return np.empty(size, dtype)
+    buf = getattr(_kept, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_kept, name, buf)
+    return buf[:size]
+
+
 def _estimate_chunks(
     variant: McvVariant,
     pool: np.ndarray,
@@ -202,11 +226,12 @@ def _estimate_chunks(
     """Rows and degeneracy codes of the chunks of ``step`` resamples that begin at ``starts``.
 
     The rows come in the order of ``starts``, (rows, k, 4) and (rows, k).  The
-    index array, the gather buffer and the kernel workspace are allocated
-    once, sized for the largest group, and reused for every chunk and group;
-    a group's stack is the contiguous prefix of the gather buffer.  Fresh
-    megabyte-sized temporaries per stack would be handed back to the system
-    on every free and faulted in again on the next call.
+    index array, the gather buffer and the kernel workspace are sized for the
+    largest group and serve every chunk and group; a group's stack is the
+    contiguous prefix of the gather buffer.  They are this thread's kept
+    buffers (``_scratch``), so later calls, and a worker's later shares,
+    reuse them: fresh temporaries of that size would be handed back to the
+    system on every free and faulted in again on the next call.
     """
     n, d = pool.shape
     k = len(sizes)
@@ -215,9 +240,9 @@ def _estimate_chunks(
     out = np.empty((rows, k, 4))
     codes = np.zeros((rows, k), dtype=np.int8)
     chunk = min(step, resamples)
-    idx = np.empty((chunk, n), dtype=np.intp)
-    gathered = np.empty(chunk * max(sizes) * d)
-    work = np.empty(2 * gathered.size)
+    idx = _scratch("idx", chunk * n, np.intp).reshape(chunk, n)
+    gathered = _scratch("gathered", chunk * max(sizes) * d)
+    work = _scratch("work", 2 * gathered.size)
     row = 0
     for start in starts:
         stop = min(start + step, resamples)
