@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -539,6 +540,62 @@ class TestChunking:
                 assert all(x.flags.c_contiguous and work is not None for x, work in seen)
                 buffers = {(x.ctypes.data, id(work)) for x, work in seen}
                 assert len(buffers) == len({addr for addr, _ in buffers}) == len({w for _, w in buffers}) == 1
+
+    @pytest.mark.parametrize("keep_max", [None, 0])
+    def test_later_calls_reuse_the_kept_buffers(self, monkeypatch, keep_max):
+        # A thread's calls gather into the one buffer it keeps, a smaller
+        # call into its prefix, and give the rows of fresh buffers; above
+        # KEEP_MAX_BYTES every call allocates its own (the recorder keeps
+        # each alive, so fresh buffers cannot share an address).
+        seen = []  # per call, its (stack, workspace) pairs
+
+        def record(v, x, *work):
+            seen[-1].append((x, work[0]))
+            return estimate_stack(v, x, *work)
+
+        estimate_stack = _resampling._estimate_stack
+        pool = 1.5 + np.random.default_rng(13).standard_normal((30, 3))
+        calls = [((9, 10, 11), 40, True), ((5, 6, 7), 40, False), ((9, 10, 11), 40, True)]
+        want = [pooled_resample_estimates(McvVariant.RR, pool[: sum(n)], n, b, make_rng(4), r)
+                for n, b, r in calls]
+        monkeypatch.setattr(_resampling, "_estimate_stack", record)
+        monkeypatch.setattr(_resampling, "RESAMPLE_CHUNK", 7)
+        monkeypatch.setattr(_resampling, "_kept", threading.local())
+        if keep_max is not None:
+            monkeypatch.setattr(_resampling, "KEEP_MAX_BYTES", keep_max)
+        for (n, b, r), (rows, degenerate) in zip(calls, want):
+            seen.append([])
+            got = pooled_resample_estimates(McvVariant.RR, pool[: sum(n)], n, b, make_rng(4), r)
+            np.testing.assert_array_equal(got[0], rows)
+            np.testing.assert_array_equal(got[1], degenerate)
+        addresses = [{(x.ctypes.data, work.ctypes.data) for x, work in call} for call in seen]
+        assert all(len(a) == 1 for a in addresses)
+        if keep_max is None:
+            assert addresses[0] == addresses[1] == addresses[2]
+        else:
+            assert len(set.union(*addresses)) == 3
+
+    def test_threads_keep_their_own_buffers(self):
+        # Four threads (more than the cores here) resample different pools
+        # at once with a short switch interval; a buffer shared between
+        # threads would mix their stacks.
+        pools = [1.5 + np.random.default_rng(30 + t).standard_normal((60, 4)) for t in range(4)]
+        args = [(v, pools[t], (18, 20, 22), 300, make_rng(t), t % 2 == 0)
+                for t, v in enumerate(VARIANTS)]
+        want = [pooled_resample_estimates(*a) for a in args]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as threads:
+                futures = [threads.submit(lambda a: [pooled_resample_estimates(*a) for _ in range(3)], a)
+                           for a in args]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for runs, (rows, degenerate) in zip(results, want):
+            for got in runs:
+                np.testing.assert_array_equal(got[0], rows)
+                np.testing.assert_array_equal(got[1], degenerate)
 
     @pytest.mark.parametrize("workspace", [False, True])
     @pytest.mark.parametrize("variant", VARIANTS)
