@@ -28,13 +28,7 @@ from .design import (
     tukey_contrasts,
     validate_contrast,
 )
-from .estimation import (
-    DegeneracyError,
-    McvVariant,
-    Sample,
-    estimate,
-    one_sample_ci,
-)
+from .estimation import DegeneracyError, McvVariant, Sample, _intervals, estimate
 from .sim import (
     ScenarioConfig,
     preset_configs,
@@ -215,7 +209,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         for variant in _variants(args.variant):
             try:
                 est = estimate(variant, sample)
-                ci_c, ci_b = one_sample_ci(variant, sample, args.alpha)
+                ci_c, ci_b = _intervals(est, args.alpha)
             except DegeneracyError as exc:
                 raise DegeneracyError(f"group {label}: {exc}") from None
             table.append(
@@ -356,11 +350,15 @@ def cmd_ilr(args: argparse.Namespace) -> int:
         raise InputError("ilr needs at least two composition parts")
     out_rows = []
     for label, values in groups:
+        if not np.all(np.isfinite(values)):
+            raise InputError(f"group {label}: ilr requires finite entries")
         if np.any(values <= 0.0):
             raise InputError(f"group {label}: ilr requires strictly positive entries")
-        comp = values / values.sum(axis=1, keepdims=True)
-        logs = np.log(comp)
-        z = np.empty((comp.shape[0], d - 1))
+        # Logs of the raw parts: ilr coordinates do not change when a row is
+        # scaled, so closing rows to sum one first (which can overflow) is
+        # not needed.
+        logs = np.log(values)
+        z = np.empty((values.shape[0], d - 1))
         for j in range(1, d):
             gm_log = logs[:, :j].mean(axis=1)
             z[:, j - 1] = math.sqrt(j / (j + 1.0)) * (gm_log - logs[:, j])

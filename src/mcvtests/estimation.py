@@ -10,8 +10,9 @@ der Vaart, Asymptotic Statistics, 1998, ch. 3 and 20): the delta-method
 quadratic form (s/4) a M a^T without the d^2 x d^2 moment matrices, with the
 gradient in log space and each sample rescaled by a power of two first.  rr
 and vn need full-rank covariances: one stacked inverse proves full rank for
-most resamples, and only the rest go through ``numeric_rank``'s SVD
-(``_rank_deficient``); rr and vn reuse that inverse.
+most resamples, a zero LU pivot marks a singular one, and only the rest go
+through ``numeric_rank``'s SVD (``_rank_deficient``); rr and vn reuse that
+inverse.
 
 A single sample is, for now, still estimated through the explicit quadratic
 form in its third/fourth mixed-moment matrices (``sample_moments``,
@@ -362,39 +363,31 @@ def degeneracy_reason(variant: McvVariant, code: int) -> str:
     return _REASONS[code].format(variant=variant.value)
 
 
-def _rank_deficient(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``numeric_rank(cov) < d`` for a (B, d, d) stack of covariances, and their inverses.
+def _rank_deficient(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which slices of a (B, d, d) stack of covariances are singular, and their inverses.
 
-    A slice whose inverse gives 1/||S^-1||_F > RANK_SCREEN * eps * d * trace S
-    has full rank: lambda_min >= 1/||S^-1||_F and sigma_max <= trace S, so its
-    smallest eigenvalue clears numeric_rank's cut-off eps * d * sigma_max by
-    a factor of RANK_SCREEN.  Only the slices this bound does not settle go to
-    ``numeric_rank``, exactly singular ones (a zero LU pivot) among them.
-    The inverse is None when a zero-pivot slice has full numeric rank.
+    A slice on which LU meets an exactly zero pivot is singular, and its
+    inverse is NaN: these are the slices on which ``np.linalg.inv`` raises
+    and ``slogdet``'s sign is 0, as both factor with the same LAPACK getrf.
+    Every other slice whose inverse gives 1/||S^-1||_F > RANK_SCREEN * eps *
+    d * trace S has full rank: lambda_min >= 1/||S^-1||_F and sigma_max <=
+    trace S, so its smallest eigenvalue clears numeric_rank's cut-off eps * d
+    * sigma_max by a factor of RANK_SCREEN.  Only the slices this bound does
+    not settle go to ``numeric_rank``.
     """
     d = cov.shape[-1]
-    exact = None
     try:
         inv = np.linalg.inv(cov)
+        singular = np.zeros(cov.shape[0], dtype=bool)
     except np.linalg.LinAlgError:
-        # Some slice has an exactly zero LU pivot.  slogdet's sign finds
-        # those slices without raising; the others are inverted alone (inv
-        # works slice by slice, so to the same bits), and the zero-pivot
-        # slices keep a NaN inverse, which leaves them to numeric_rank.
-        exact = np.linalg.slogdet(cov)[0] == 0.0
+        # inv works slice by slice, so the other slices get the same bits.
+        singular = np.linalg.slogdet(cov)[0] == 0.0
         inv = np.full_like(cov, np.nan)
-        try:
-            inv[~exact] = np.linalg.inv(cov[~exact])
-        except np.linalg.LinAlgError:
-            return numeric_rank(cov) < d, None
+        inv[~singular] = np.linalg.inv(cov[~singular])
     bound = RANK_SCREEN * np.finfo(float).eps * d * np.einsum("bii->b", cov)
-    unclear = ~(1.0 / np.sqrt(np.einsum("bij,bij->b", inv, inv)) > bound)
-    singular = np.zeros(cov.shape[0], dtype=bool)
+    unclear = ~singular & ~(1.0 / np.sqrt(np.einsum("bij,bij->b", inv, inv)) > bound)
     if unclear.any():
         singular[unclear] = numeric_rank(cov[unclear]) < d
-    if exact is not None and not singular[exact].all():
-        # A zero-pivot slice of full numeric rank has no inverse to reuse.
-        return singular, None
     return singular, inv
 
 
@@ -450,22 +443,18 @@ def _estimate_stack(
         cov = (cov + cov.transpose(0, 2, 1)) * (0.5 / n)
         q = np.einsum("bi,bi->b", mean, mean)
         flag(~(q > 0.0), _ZERO_MEAN)
-        # Flagged slices get harmless stand-ins so the stacked LAPACK calls
-        # never see a singular matrix; their rows end up NaN.
-        q = np.where(code == _OK, q, 1.0)
+        # Every stacked step below works slice by slice, and no LAPACK call
+        # raises once the rank check has run, so flagged slices need no
+        # stand-ins: whatever they compute, their rows end up NaN.
         if variant in (McvVariant.RR, McvVariant.VN):
             singular, inv = _rank_deficient(cov)
             flag(singular, _SINGULAR)
-            cov = np.where((code == _OK)[:, None, None], cov, np.eye(d))
         if variant is McvVariant.RR:
             sign, logdet = np.linalg.slogdet(cov)
             flag(sign <= 0.0, _DET)
             c = np.exp(logdet / (2.0 * d) - 0.5 * np.log(q))
             g0 = -(c / q)[:, None] * mean
-            # G = c S^-1 / (2d).  Every stacked step works slice by slice and
-            # flagged rows end up NaN, so the rank check's inverse serves as is.
-            if inv is None:
-                inv = np.linalg.inv(cov)
+            # G = c S^-1 / (2d), from the rank check's inverse.
             xc_inv = np.matmul(xc, inv, out=_workspace_slot(work, 1, xc.shape))
             quad_rows = np.einsum("bni,bni->bn", xc_inv, xc)
             infl = rowdot(g0) + (c / (2.0 * d))[:, None] * quad_rows
@@ -477,12 +466,8 @@ def _estimate_stack(
             sq_rows = np.einsum("bni,bni->bn", xc, xc)
             infl = -(c / q)[:, None] * rowdot(mean) + sq_rows / (2.0 * c * q)[:, None]
         elif variant is McvVariant.VN:
-            # u = S^-1 m from the rank check's inverse, as rr's G; solved only
-            # where a zero-pivot slice of full rank left no inverse.
-            if inv is None:
-                u = np.linalg.solve(cov, mean[:, :, None])[..., 0]
-            else:
-                u = (inv @ mean[:, :, None])[..., 0]
+            # u = S^-1 m from the rank check's inverse, as rr's G.
+            u = (inv @ mean[:, :, None])[..., 0]
             quad = np.einsum("bi,bi->b", mean, u)
             flag(~(quad > 0.0), _MAHALANOBIS)
             c = 1.0 / np.sqrt(quad)
@@ -543,14 +528,29 @@ def _estimate_array(variant: McvVariant, x: np.ndarray) -> EstimateResult:
     return EstimateResult(variant=variant, c=c, b=b, var_c=var_c, var_b=var_b, n=x.shape[0])
 
 
+def _warn_small_n(n: int, d: int) -> None:
+    """The one ``n < d+2`` warning of a public call, given its smallest group size.
+
+    Raised at the public call's caller, two frames above this one's.
+    """
+    if n < d + 2:
+        warnings.warn(f"n={n} < d+2={d + 2}: variance estimation is unreliable", stacklevel=3)
+
+
 def estimate(variant: McvVariant, sample: Sample) -> EstimateResult:
     """MCV and standardized-mean estimates with their asymptotic variances."""
-    if sample.n < sample.d + 2:
-        warnings.warn(
-            f"n={sample.n} < d+2={sample.d + 2}: variance estimation is unreliable",
-            stacklevel=2,
-        )
+    _warn_small_n(sample.n, sample.d)
     return _estimate_array(variant, sample.values)
+
+
+def _intervals(est: EstimateResult, alpha: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Asymptotic two-sided intervals for c and b from an estimate."""
+    check_alpha(alpha)
+    z = normal_quantile(1.0 - alpha / 2.0)
+    scale = z / math.sqrt(est.n)
+    half_c = scale * math.sqrt(est.var_c)
+    half_b = scale * math.sqrt(est.var_b)
+    return (est.c - half_c, est.c + half_c), (est.b - half_b, est.b + half_b)
 
 
 def one_sample_ci(
@@ -558,9 +558,4 @@ def one_sample_ci(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Asymptotic two-sided confidence intervals for the MCV and its reciprocal."""
     check_alpha(alpha)
-    est = estimate(variant, sample)
-    z = normal_quantile(1.0 - alpha / 2.0)
-    scale = z / math.sqrt(est.n)
-    half_c = scale * math.sqrt(est.var_c)
-    half_b = scale * math.sqrt(est.var_b)
-    return (est.c - half_c, est.c + half_c), (est.b - half_b, est.b + half_b)
+    return _intervals(estimate(variant, sample), alpha)

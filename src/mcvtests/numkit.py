@@ -30,6 +30,8 @@ __all__ = [
 
 # Eigenvalue slack when deciding whether a symmetric matrix is acceptably PSD.
 PSD_TOL = 1e-8
+# Machine epsilon: the relative singular-value cut-off of pinv and numeric_rank.
+_EPS = float(np.finfo(float).eps)
 # estimation._rank_deficient settles a covariance's full rank from its
 # inverse only when its bound clears numeric_rank's cut-off by this factor,
 # a margin for the rounding in the inverse; closer slices take the SVD.
@@ -189,47 +191,43 @@ def make_rng(seed: int, stream: int = 0) -> RngStream:
     return RngStream(int(seed), (int(stream),))
 
 
-def pinv(a: np.ndarray, tol: float | None = None) -> np.ndarray:
+def pinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a matrix or of each matrix in a stack.
 
-    Singular values below ``tol * sigma_max * max(rows, cols)`` of their own
-    matrix are treated as zero; ``tol`` defaults to machine epsilon.
+    Singular values below ``eps * sigma_max * max(rows, cols)`` of their own
+    matrix are treated as zero.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if tol is None:
-        tol = float(np.finfo(float).eps)
-    return np.linalg.pinv(a, rcond=tol * max(a.shape[-2:]))
+    return np.linalg.pinv(a, rcond=_EPS * max(a.shape[-2:]))
 
 
-def numeric_rank(a: np.ndarray, tol: float | None = None) -> int | np.ndarray:
-    """Number of singular values above ``tol * sigma_max * max(rows, cols)``.
+def numeric_rank(a: np.ndarray) -> int | np.ndarray:
+    """Number of singular values above ``eps * sigma_max * max(rows, cols)``.
 
     For a stack of matrices, an array with the rank of each.  The resampled
-    covariances of the estimation kernel reach this function only when a
-    bound from their inverse leaves their rank open (see
-    ``estimation._rank_deficient``).
+    covariances of the estimation kernel reach this function only when
+    neither a zero LU pivot nor a bound from their inverse settles their rank
+    (see ``estimation._rank_deficient``).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    if tol is None:
-        tol = float(np.finfo(float).eps)
     s = np.linalg.svd(a, compute_uv=False)
     size = max(a.shape[-2:])
-    rank = np.sum(s > tol * s.max(axis=-1, keepdims=True) * size, axis=-1)
+    rank = np.sum(s > _EPS * s.max(axis=-1, keepdims=True) * size, axis=-1)
     return int(rank) if a.ndim == 2 else rank
 
 
-def sym_sqrt(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+def sym_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric PSD matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol (scaled
-    by the spectral radius) signals a genuinely non-PSD input.
+    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything below -PSD_TOL
+    (scaled by the spectral radius) signals a genuinely non-PSD input.
     """
     a = np.asarray(a, dtype=float)
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    if w.size and w[0] < -tol * scale:
+    if w.size and w[0] < -PSD_TOL * scale:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
     w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.T

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._resampling import (
+    group_stats,
     pooled_resample_estimates,
     resampling_p_value,
     resampling_workers,
@@ -28,7 +29,7 @@ from ._resampling import (
     wald_value,
 )
 from .design import ContrastMatrix, validate_contrast
-from .estimation import DegeneracyError, McvVariant, Sample, estimate
+from .estimation import DegeneracyError, McvVariant, Sample, _warn_small_n
 from .numkit import RngStream, check_alpha, chi2_sf, numeric_rank
 
 __all__ = [
@@ -127,10 +128,11 @@ def group_estimates(target: Target, data: GroupedData) -> tuple[np.ndarray, np.n
     """Per-group point estimates and the diagonal of the rescaled covariance.
 
     The i-th diagonal entry is (n / n_i) times the group's estimated
-    asymptotic variance for the requested target.
+    asymptotic variance for the requested target.  A group with fewer than
+    d + 2 rows gives one warning, whatever the number of such groups.
     """
-    ests = [estimate(target.variant, sample) for sample in data.samples]
-    stats = np.array([(e.c, e.b, e.var_c, e.var_b) for e in ests])
+    _warn_small_n(min(data.sizes), data.d)
+    stats = group_stats(target.variant, [s.values for s in data.samples])
     return target_values(stats, target.kind, data.sizes)
 
 

@@ -153,10 +153,10 @@ class TestKernelAgainstQuadraticForm:
     @pytest.mark.parametrize("variant", [McvVariant.RR, McvVariant.VN])
     @pytest.mark.parametrize("masked", ["zeros", "zero_mean"])
     def test_mask_does_not_leak_across_slices(self, variant, masked):
-        # A sample of zeros has a singular covariance, so the rank check's
-        # inv fails and rr inverts the masked stack afresh; an exactly zero
-        # mean masks a slice whose covariance is regular, so rr reuses the
-        # rank check's inverse with a masked slice in it.  Alone, nothing is
+        # A sample of zeros has a singular covariance, on which the rank
+        # check's inv fails and leaves a NaN inverse; an exactly zero mean
+        # masks a slice whose covariance is regular.  Either way rr and vn
+        # go on with the masked slice in the stack.  Alone, nothing is
         # masked.
         rng = np.random.default_rng(4)
         x = draw_groups(rng, 3, 20, 3)
@@ -182,18 +182,15 @@ class TestKernelAgainstQuadraticForm:
 
 
 def numeric_rank_branch(variant, x):
-    """``_estimate_stack`` with every covariance's rank taken by ``numeric_rank``:
-    the kernel as it was before the inverse bound.  rr and vn still take S^-1
-    from the stacked inverse (NaN on zero-pivot slices), and solve only where
-    a zero-pivot slice of full rank leaves none."""
+    """``_estimate_stack`` with the rank of every covariance taken by
+    ``numeric_rank``: the kernel as it was before the inverse bound.  A slice
+    with a zero LU pivot is singular and keeps a NaN inverse, as in the
+    kernel; rr and vn take S^-1 from the stacked inverse of the others."""
     def rank_only(cov):
-        singular = numeric_rank(cov) < cov.shape[-1]
         exact = np.linalg.slogdet(cov)[0] == 0.0
-        if (exact & ~singular).any():
-            return singular, None
         inv = np.full_like(cov, np.nan)
         inv[~exact] = np.linalg.inv(cov[~exact])
-        return singular, inv
+        return exact | (numeric_rank(cov) < cov.shape[-1]), inv
 
     with mock.patch.object(estimation, "_rank_deficient", rank_only):
         return _estimate_stack(variant, x)
@@ -216,9 +213,10 @@ def exact_rank_stacks(draw):
 
 
 class TestRankFromInverse:
-    """The inverse bound settles full rank; what it leaves open goes to
-    numeric_rank, and rows and codes stay bit for bit those of the kernel
-    that took every rank from numeric_rank."""
+    """A zero LU pivot marks a singular slice and the inverse bound settles
+    full rank; what the two leave open goes to numeric_rank, and rows and
+    codes stay bit for bit those of the kernel that took every rank from
+    numeric_rank."""
 
     @given(exact_rank_stacks())
     @settings(max_examples=300, deadline=None)
@@ -258,38 +256,50 @@ class TestRankFromInverse:
         want, want_code = numeric_rank_branch(variant, regular)
         np.testing.assert_array_equal(code, want_code)
         np.testing.assert_array_equal(out, want)
-        # Equal columns: an exactly singular slice, on which inv fails; it
-        # joins the near-collinear one, and the others are still inverted.
+        # Equal columns: an exactly singular slice, on which inv fails.  Its
+        # zero pivot settles it, so only the near-collinear slice still goes
+        # to numeric_rank, and the others are still inverted.
         seen.clear()
         x[4, :, 3] = x[4, :, 0]
         out, code = _estimate_stack(variant, x)
-        assert seen == [2] and list(code != 0) == [False] * 4 + [True, False]
+        assert seen == [1] and list(code != 0) == [False] * 4 + [True, False]
         want, want_code = numeric_rank_branch(variant, x)
         np.testing.assert_array_equal(code, want_code)
         np.testing.assert_array_equal(out, want)
 
-    def test_exactly_singular_slices_fall_back_when_their_inverse_is_missing(self, monkeypatch):
+    def test_zero_pivot_slices_are_singular_with_a_nan_inverse(self, monkeypatch):
         rng = np.random.default_rng(8)
         x = draw_groups(rng, 4, 30, 4)
         x[1, :, 2] = x[1, :, 0]
         xc = x - x.mean(axis=1, keepdims=True)
         cov = xc.transpose(0, 2, 1) @ xc
-        singular, inv = estimation._rank_deficient(cov)
-        assert list(singular) == [False, True, False, False] and inv is not None
-        np.testing.assert_array_equal(inv[[0, 2, 3]], np.linalg.inv(cov[[0, 2, 3]]))
-        # A zero-pivot slice that numeric_rank finds regular leaves no
-        # inverse to reuse.
-        monkeypatch.setattr(estimation, "numeric_rank", lambda a: np.full(len(a), a.shape[-1]))
-        singular, inv = estimation._rank_deficient(cov)
-        assert not singular.any() and inv is None
-        # If slogdet missed the zero pivot, the whole stack goes to numeric_rank.
+        assert list(np.linalg.slogdet(cov)[0] == 0.0) == [False, True, False, False]
         seen = []
         monkeypatch.setattr(
             estimation, "numeric_rank", lambda a: seen.append(len(a)) or numeric_rank(a)
         )
-        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (np.ones(len(a)), np.zeros(len(a))))
         singular, inv = estimation._rank_deficient(cov)
-        assert seen == [4] and list(singular) == [False, True, False, False] and inv is None
+        assert list(singular) == [False, True, False, False] and seen == []
+        assert np.isnan(inv[1]).all()
+        np.testing.assert_array_equal(inv[[0, 2, 3]], np.linalg.inv(cov[[0, 2, 3]]))
+        # The zero pivot decides, whatever numeric_rank would say.
+        monkeypatch.setattr(estimation, "numeric_rank", lambda a: np.full(len(a), a.shape[-1]))
+        singular, _ = estimation._rank_deficient(cov)
+        assert list(singular) == [False, True, False, False]
+
+    @pytest.mark.parametrize("variant", [McvVariant.RR, McvVariant.VN])
+    def test_zero_pivot_slices_are_degenerate_whatever_numeric_rank_says(self, monkeypatch, variant):
+        rng = np.random.default_rng(9)
+        x = draw_groups(rng, 4, 30, 4)
+        x[2, :, 3] = x[2, :, 1]
+        alone = [_estimate_stack(variant, x[j : j + 1])[0][0] for j in (0, 1, 3)]
+        # numeric_rank calling every slice regular leaves the zero pivot to
+        # decide, and no LAPACK call raises on the singular slice.
+        monkeypatch.setattr(estimation, "numeric_rank", lambda a: np.full(len(a), a.shape[-1]))
+        out, code = _estimate_stack(variant, x)
+        assert list(code) == [0, 0, estimation._SINGULAR, 0]
+        assert np.isnan(out[2]).all()
+        np.testing.assert_array_equal(out[[0, 1, 3]], alone)
 
 
 def loop_wald(stats, degenerate, kind, h, n, weights):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcvtests import _resampling, cli, tests_global, tests_multiple
+from mcvtests import _resampling, cli, estimation, tests_global, tests_multiple
 from mcvtests.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT,
@@ -171,6 +171,22 @@ class TestEstimateCommand:
         rows = json.loads(out.read_text())["estimates"]
         assert len(rows) == 16  # 4 groups x 4 variants
         assert {r["group"] for r in rows} == {"CH", "EH", "JH", "GB"}
+
+    def test_each_group_and_variant_is_estimated_once(self, four_group_file, tmp_path, monkeypatch):
+        calls = []
+        original = estimation._estimate_array
+        monkeypatch.setattr(
+            estimation, "_estimate_array",
+            lambda variant, x: calls.append((variant.value, x[0, 0])) or original(variant, x),
+        )
+        out = tmp_path / "report.json"
+        assert main(["estimate", four_group_file, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == len(set(calls)) == 16
+        # The intervals are still those of one_sample_ci.
+        row = json.loads(out.read_text())["estimates"][0]
+        sample = estimation.Sample(read_groups(four_group_file)[0][1])
+        ci_c, ci_b = estimation.one_sample_ci(estimation.McvVariant(row["variant"]), sample, 0.05)
+        assert row["ci_c"] == list(ci_c) and row["ci_b"] == list(ci_b)
 
 
 class TestTestCommand:
@@ -420,6 +436,28 @@ class TestIlrCommand:
         path = tmp_path / "comp.csv"
         write_csv(path, ["group", "a", "b"], [["g", 1.0, 0.0]])
         assert main(["ilr", str(path)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, capsys, cell):
+        path = tmp_path / "comp.csv"
+        write_csv(path, ["group", "a", "b", "c"], [["g", 1.0, 2.0, 3.0], ["g", 1.0, cell, 3.0]])
+        out = tmp_path / "ilr.csv"
+        assert main(["ilr", str(path), "--out", str(out)]) == EXIT_INPUT
+        assert "finite" in capsys.readouterr().err and not out.exists()
+
+    def test_a_row_whose_sum_overflows_gives_finite_coordinates(self, tmp_path):
+        # ilr coordinates do not change when a row is scaled, so the row and
+        # the same row scaled by 2**-1000 (exact) give the same coordinates.
+        row = [1e308, 1e308, 1.0]
+        path = tmp_path / "comp.csv"
+        write_csv(path, ["group", "a", "b", "c"],
+                  [["g", *row], ["g", *(math.ldexp(v, -1000) for v in row)]])
+        out = tmp_path / "ilr.csv"
+        assert main(["ilr", str(path), "--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as fh:
+            z = np.array([[float(r["ilr1"]), float(r["ilr2"])] for r in csv.DictReader(fh)])
+        assert np.isfinite(z).all()
+        np.testing.assert_allclose(z[0], z[1], rtol=1e-12, atol=1e-12)
 
     def test_pipeline_into_estimate(self, tmp_path):
         # A 5-part composition file survives ilr and feeds estimation.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ class TestGroupEstimates:
             gm, gq = -m2 / (m * m * math.sqrt(s2)), 1.0 / (2.0 * m * math.sqrt(s2))
             var = gm * gm * s2 + 2.0 * gm * gq * psi3 + gq * gq * psi4
             assert sigma[i] == pytest.approx((n / len(v)) * var, rel=1e-10)
+
+    @pytest.mark.parametrize("method", ["asymptotic", "bootstrap"])
+    def test_one_small_group_warning_per_public_call(self, method):
+        # Two groups below d + 2 = 5 rows give one warning, for the smaller;
+        # the bootstrap's resamples, tiny as they are, add none.
+        gen = make_rng(5).generator()
+        data = GroupedData.from_arrays([2.0 + gen.standard_normal((n, 3)) for n in (4, 3, 30)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if method == "asymptotic":
+                asymptotic_test(VV_C, data, tukey_contrasts(3))
+            else:
+                bootstrap_test(VV_C, data, tukey_contrasts(3), 0.05, 50, make_rng(2))
+        messages = [str(w.message) for w in caught if "variance estimation" in str(w.message)]
+        assert messages == ["n=3 < d+2=5: variance estimation is unreliable"]
 
 
 class TestWaldStatistic:
