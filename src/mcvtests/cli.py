@@ -45,7 +45,7 @@ from .tests_global import (
     permutation_test,
 )
 from .tests_multiple import TABLE_COLUMNS, asymptotic_mct, bootstrap_mct, mct_global_p
-from .numkit import make_rng
+from .numkit import check_alpha, make_rng
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -197,6 +197,7 @@ def _write_csv(path: str | None, columns: tuple[str, ...], rows: list[dict]) -> 
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    check_alpha(args.alpha)
     groups = read_groups(args.file)
     if not groups:
         raise InputError(f"{args.file}: no data rows")

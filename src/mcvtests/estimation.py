@@ -544,8 +544,7 @@ def estimate(variant: McvVariant, sample: Sample) -> EstimateResult:
 
 
 def _intervals(est: EstimateResult, alpha: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Asymptotic two-sided intervals for c and b from an estimate."""
-    check_alpha(alpha)
+    """Asymptotic two-sided intervals for c and b from an estimate, at an already checked ``alpha``."""
     z = normal_quantile(1.0 - alpha / 2.0)
     scale = z / math.sqrt(est.n)
     half_c = scale * math.sqrt(est.var_c)

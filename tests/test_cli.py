@@ -670,6 +670,8 @@ class TestExitCodeSweep:
                 ("non_numeric", [], EXIT_INPUT),
                 ("nan", [], EXIT_INPUT),
                 ("constant_rr", ["--variant", "rr"], EXIT_DEGENERATE),
+                # A bad flag is an input error even where the data are degenerate.
+                ("constant_rr", ["--variant", "rr", "--alpha", "0"], EXIT_INPUT),
                 ("valid", ["--alpha", "2"], EXIT_INPUT),
             ]
             + ([("valid", ["--B", "0"], EXIT_INPUT)] if command != "estimate" else [])
