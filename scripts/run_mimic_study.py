@@ -7,15 +7,18 @@ or the per-group moments (power study), across the three innovation
 distributions.
 
     python scripts/run_mimic_study.py data.csv --variant vv --mode size --out mimic.csv
+
+A bad file or setting ends with a one-line message and exit code 2.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 
 import numpy as np
 
-from mcvtests.cli import read_groups
+from mcvtests.cli import EXIT_INPUT, read_groups
 from mcvtests.estimation import McvVariant
 from mcvtests.sim import TIDY_COLUMNS, run_moment_mimic, tidy_rows
 
@@ -51,31 +54,33 @@ def main() -> int:
             mus.append(mu)
             sigmas.append(xc.T @ xc / v.shape[0])
 
-    fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.DictWriter(fh, fieldnames=list(TIDY_COLUMNS), lineterminator="\n")
-    writer.writeheader()
-    for dist in ("normal", "student5", "chisq10"):
-        result = run_moment_mimic(
-            mus,
-            sigmas,
-            n=sizes,
-            distribution=dist,
-            variant=McvVariant(args.variant),
-            tests=TESTS,
-            replicates=args.replicates,
-            resamples=args.resamples,
-            seed=args.seed,
-            workers=args.workers,
-            name=f"mimic-{args.mode}-{dist}",
-        )
-        for row in tidy_rows(result):
-            writer.writerow(row)
-        fh.flush()
-        print(f"{dist}: {result.wall_clock:.0f}s", file=sys.stderr, flush=True)
-    if args.out:
-        fh.close()
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(TIDY_COLUMNS), lineterminator="\n")
+        writer.writeheader()
+        for dist in ("normal", "student5", "chisq10"):
+            result = run_moment_mimic(
+                mus,
+                sigmas,
+                n=sizes,
+                distribution=dist,
+                variant=McvVariant(args.variant),
+                tests=TESTS,
+                replicates=args.replicates,
+                resamples=args.resamples,
+                seed=args.seed,
+                workers=args.workers,
+                name=f"mimic-{args.mode}-{dist}",
+            )
+            for row in tidy_rows(result):
+                writer.writerow(row)
+            fh.flush()
+            print(f"{dist}: {result.wall_clock:.0f}s", file=sys.stderr, flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ValueError as exc:  # a bad file or setting, InputError included
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INPUT)

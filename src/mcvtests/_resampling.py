@@ -151,11 +151,12 @@ def _pool_fits(workers: int, tasks: int) -> bool:
 
 
 def _worker_pool(workers: int, tasks: int) -> ProcessPoolExecutor:
-    """The process-wide executor, replaced by one of ``workers`` processes unless it fits the call."""
+    """The process-wide executor, replaced by one of ``min(workers, tasks)`` processes unless it fits the call."""
     global _pool
     if _pool_fits(workers, tasks):
         return _pool[2]
     _close_pool()
+    workers = min(workers, tasks)
     # The platform's start method, as the multiprocessing default context gives it.
     pool = ProcessPoolExecutor(max_workers=workers)
     # Stopped at exit by concurrent.futures' exit hook, except in a

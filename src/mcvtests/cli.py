@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .design import (
     tukey_contrasts,
     validate_contrast,
 )
-from .estimation import DegeneracyError, McvVariant, Sample, _intervals, estimate
+from .estimation import DegeneracyError, McvVariant, Sample, _estimate_array, _intervals, _warn_small_n
 from .sim import (
     ScenarioConfig,
     preset_configs,
@@ -45,7 +46,7 @@ from .tests_global import (
     permutation_test,
 )
 from .tests_multiple import TABLE_COLUMNS, asymptotic_mct, bootstrap_mct, mct_global_p
-from .numkit import check_alpha, make_rng
+from .numkit import check_alpha, make_rng, normal_quantile
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,6 +172,18 @@ def _versions() -> dict:
     return {"mcvtests": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
+# Namespace entries a report's ``inputs`` leaves out: the subcommand and its
+# function, which are not flags, the output paths, and the worker count,
+# which changes no result.
+_NOT_INPUTS = frozenset({"command", "func", "out", "table", "report", "workers"})
+
+
+def _report(args: argparse.Namespace, **body) -> dict:
+    """A command's JSON report: its name, every flag that can change the result, the body, the versions."""
+    inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
+    return {"command": args.command, "inputs": inputs, **body, "versions": _versions()}
+
+
 def _emit_report(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
@@ -201,16 +214,21 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     groups = read_groups(args.file)
     if not groups:
         raise InputError(f"{args.file}: no data rows")
-    table = []
+    variants = _variants(args.variant)
+    samples = []
     for label, values in groups:
         try:
-            sample = Sample(values)
+            samples.append((label, Sample(values)))
         except ValueError as exc:
             raise InputError(f"group {label}: {exc}") from None
-        for variant in _variants(args.variant):
+    _warn_small_n(min(s.n for _, s in samples), samples[0][1].d)
+    z = normal_quantile(1.0 - args.alpha / 2.0)
+    table = []
+    for label, sample in samples:
+        for variant in variants:
             try:
-                est = estimate(variant, sample)
-                ci_c, ci_b = _intervals(est, args.alpha)
+                est = _estimate_array(variant, sample.values)
+                ci_c, ci_b = _intervals(est, z)
             except DegeneracyError as exc:
                 raise DegeneracyError(f"group {label}: {exc}") from None
             table.append(
@@ -227,21 +245,23 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     "ci_b": list(ci_b),
                 }
             )
-    report = {
-        "command": "estimate",
-        "inputs": {"file": args.file, "variant": args.variant, "alpha": args.alpha},
-        "estimates": table,
-        "versions": _versions(),
-    }
-    _emit_report(report, args.out)
+    _emit_report(_report(args, estimates=table), args.out)
     return EXIT_OK
 
 
-def cmd_test(args: argparse.Namespace) -> int:
-    groups = read_groups(args.file)
-    data = grouped_data(groups)
+def _load_design(args: argparse.Namespace) -> tuple[GroupedData, ContrastMatrix]:
+    """The grouped data and the contrast of a ``test`` or ``mct`` command."""
+    data = grouped_data(read_groups(args.file))
     layout = parse_layout(args.layout) if args.layout else None
-    cm = build_contrast(args.contrasts, data.k, data.labels, layout)
+    return data, build_contrast(args.contrasts, data.k, data.labels, layout)
+
+
+def _group_sizes(data: GroupedData) -> list[dict]:
+    return [{"label": g, "n": n} for g, n in zip(data.labels, data.sizes)]
+
+
+def cmd_test(args: argparse.Namespace) -> int:
+    data, cm = _load_design(args)
     results = []
     for variant in _variants(args.variant):
         target = Target(args.target, variant)
@@ -269,32 +289,13 @@ def cmd_test(args: argparse.Namespace) -> int:
                 "seed": res.seed,
             }
         )
-    report = {
-        "command": "test",
-        "inputs": {
-            "file": args.file,
-            "variant": args.variant,
-            "target": args.target,
-            "contrasts": args.contrasts,
-            "method": args.method,
-            "alpha": args.alpha,
-            "B": args.B,
-            "seed": args.seed,
-        },
-        "groups": [{"label": g, "n": int(v.shape[0])} for g, v in groups],
-        "contrast_labels": list(cm.labels),
-        "tests": results,
-        "versions": _versions(),
-    }
+    report = _report(args, groups=_group_sizes(data), contrast_labels=list(cm.labels), tests=results)
     _emit_report(report, args.out)
     return EXIT_OK
 
 
 def cmd_mct(args: argparse.Namespace) -> int:
-    groups = read_groups(args.file)
-    data = grouped_data(groups)
-    layout = parse_layout(args.layout) if args.layout else None
-    cm = build_contrast(args.contrasts, data.k, data.labels, layout)
+    data, cm = _load_design(args)
     blocks = []
     table: list[dict] = []
     for variant in _variants(args.variant):
@@ -310,27 +311,9 @@ def cmd_mct(args: argparse.Namespace) -> int:
         block["global_p"] = mct_global_p(res, args.mc_draws, rng.substream(987))
         blocks.append(block)
         table.extend(res.table_rows())
-    report = {
-        "command": "mct",
-        "inputs": {
-            "file": args.file,
-            "variant": args.variant,
-            "target": args.target,
-            "contrasts": args.contrasts,
-            "method": args.method,
-            "alpha": args.alpha,
-            "B": args.B,
-            "mc_draws": args.mc_draws,
-            "seed": args.seed,
-        },
-        "groups": [{"label": g, "n": int(v.shape[0])} for g, v in groups],
-        "mct": blocks,
-        "table": table,
-        "versions": _versions(),
-    }
     if args.table:
         _write_csv(args.table, TABLE_COLUMNS, [_format_table_row(r) for r in table])
-    _emit_report(report, args.out)
+    _emit_report(_report(args, groups=_group_sizes(data), mct=blocks, table=table), args.out)
     return EXIT_OK
 
 
@@ -391,12 +374,51 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
 def _matrix(text: str) -> np.ndarray:
     return np.array([[float(v) for v in row.split(",")] for row in text.split(";")])
 
 
+_SCENARIO, _MIMIC = ("scenario",), ("mimic",)
+_BOTH = _SCENARIO + _MIMIC
+
+# Every config key: the parser of its value and the modes that read it.
+# ``mu_<i>`` and ``sigma_<i>`` stand for mu_1, sigma_1, ... of group i.
+CONFIG_KEYS = {
+    "mode": (str, _BOTH),
+    "name": (str, _BOTH),
+    "d": (int, _SCENARIO),
+    "n": (_ints, _BOTH),
+    "distribution": (str, _BOTH),
+    "rho": (float, _SCENARIO),
+    "mu": (_floats, _SCENARIO),
+    "targets": (_floats, _SCENARIO),
+    "mu_<i>": (_floats, _MIMIC),
+    "sigma_<i>": (_matrix, _MIMIC),
+    "variant": (str, _BOTH),
+    "target_kind": (str, _BOTH),
+    "alpha": (float, _BOTH),
+    "replicates": (int, _BOTH),
+    "resamples": (int, _BOTH),
+    "mc_draws": (int, _BOTH),
+    "seed": (int, _BOTH),
+    "tests": (_names, _BOTH),
+}
+
+
 def load_config(path: str) -> dict:
-    """Parse a key = value scenario (or mimic) description."""
+    """Parse a key = value scenario (or mimic) description.
+
+    Returns ``{"mode": "scenario", "config": ScenarioConfig}`` or
+    ``{"mode": "mimic", "config": run_moment_mimic's keyword arguments}``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = _parse_config_text(fh.read(), path)
@@ -411,37 +433,39 @@ def load_config(path: str) -> dict:
 
 
 def _config_from_values(raw: dict, path: str) -> dict:
+    """Parse every key through CONFIG_KEYS; an absent key takes the library's default."""
     mode = raw.get("mode", "scenario")
-    common = {
-        "name": raw.get("name", os.path.basename(path)),
-        "distribution": raw.get("distribution", "normal"),
-        "alpha": float(raw.get("alpha", "0.05")),
-        "replicates": int(raw.get("replicates", "1000")),
-        "resamples": int(raw.get("resamples", "500")),
-        "mc_draws": int(raw.get("mc_draws", "100000")),
-        "seed": int(raw.get("seed", "0")),
-        "variant": raw["variant"],
-        "target_kind": raw.get("target_kind", "c"),
-        "tests": tuple(t.strip() for t in raw.get("tests", "perm_wald").split(",") if t.strip()),
-    }
-    n = tuple(int(v) for v in raw["n"].split(","))
+    if mode not in _BOTH:
+        raise InputError(f"unknown mode {mode!r}; use scenario or mimic")
+    # The settings that ScenarioConfig or run_moment_mimic give no default.
+    values = {"name": os.path.basename(path), "distribution": "normal"}
+    values.update({"rho": 0.0} if mode == "scenario" else {"tests": ("perm_wald",)})
+    for key, text in raw.items():
+        prefix, _, number = key.rpartition("_")
+        parse, modes = CONFIG_KEYS.get(f"{prefix}_<i>" if number.isdigit() else key, (None, ()))
+        if mode not in modes:
+            raise InputError(f"{path}: key {key!r} is not a {mode} setting")
+        try:
+            values[key] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    values.pop("mode", None)
+    k = len(values["n"])
     if mode == "scenario":
-        cfg = ScenarioConfig(
-            k=len(n),
-            d=int(raw["d"]),
-            n=n,
-            rho=float(raw.get("rho", "0")),
-            mu=_floats(raw["mu"]),
-            targets=_floats(raw["targets"]),
-            **common,
-        )
-        return {"mode": "scenario", "config": cfg}
-    if mode == "mimic":
-        k = len(n)
-        mus = [_floats(raw[f"mu_{i + 1}"]) for i in range(k)]
-        sigmas = [_matrix(raw[f"sigma_{i + 1}"]) for i in range(k)]
-        return {"mode": "mimic", "n": n, "mus": mus, "sigmas": sigmas, **common}
-    raise InputError(f"unknown mode {mode!r}; use scenario or mimic")
+        values["k"] = k
+        entry = ScenarioConfig
+    else:
+        values["mus"] = [values.pop(f"mu_{i + 1}") for i in range(k)]
+        values["sigmas"] = [values.pop(f"sigma_{i + 1}") for i in range(k)]
+        extra = [key for key in values if key.startswith(("mu_", "sigma_"))]
+        if extra:
+            raise InputError(f"{path}: key {extra[0]!r} is not read; n gives {k} groups")
+        entry = run_moment_mimic
+    params = inspect.signature(entry).parameters.values()
+    missing = [p.name for p in params if p.default is p.empty and p.name not in values]
+    if missing:
+        raise InputError(f"{path}: missing key {missing[0]!r}")
+    return {"mode": mode, "config": ScenarioConfig(**values) if mode == "scenario" else values}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -467,37 +491,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if loaded["mode"] == "scenario":
             finished(run_scenario(loaded["config"], workers=args.workers))
         else:
-            finished(
-                run_moment_mimic(
-                    mus=[np.array(m) for m in loaded["mus"]],
-                    sigmas=loaded["sigmas"],
-                    n=loaded["n"],
-                    distribution=loaded["distribution"],
-                    variant=loaded["variant"],
-                    tests=loaded["tests"],
-                    alpha=loaded["alpha"],
-                    replicates=loaded["replicates"],
-                    resamples=loaded["resamples"],
-                    target_kind=loaded["target_kind"],
-                    mc_draws=loaded["mc_draws"],
-                    seed=loaded["seed"],
-                    workers=args.workers,
-                    name=loaded["name"],
-                )
-            )
+            finished(run_moment_mimic(**loaded["config"], workers=args.workers))
     rows = [row for res in results for row in tidy_rows(res)]
     _write_csv(args.out, TIDY_COLUMNS, rows)
     if args.report:
-        report = {
-            "command": "simulate",
-            "inputs": {"config": args.config, "preset": args.preset},
-            "scenarios": [
-                {"meta": res.meta, "outcomes": [vars(oc) for oc in res.outcomes]}
-                for res in results
-            ],
-            "versions": _versions(),
-        }
-        _emit_report(report, args.report)
+        scenarios = [{"meta": res.meta, "outcomes": [vars(oc) for oc in res.outcomes]} for res in results]
+        _emit_report(_report(args, scenarios=scenarios), args.report)
     return EXIT_OK
 
 
@@ -509,35 +508,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mcvtests", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_target: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, tests: bool = True) -> None:
+        p.add_argument("file")
         p.add_argument("--variant", default="all", help="rr, vv, vn, az, or all")
-        if with_target:
-            p.add_argument("--target", default="c", choices=("c", "b"))
         p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="report path (default stdout)")
+        if tests:
+            p.add_argument("--target", default="c", choices=("c", "b"))
+            p.add_argument("--layout", default=None, help="factor layout, e.g. A:2,E:2")
+            p.add_argument("--B", type=int, default=1000, help="resampling iterations")
+            p.add_argument("--seed", type=int, default=0)
 
     p_est = sub.add_parser("estimate", help="per-group MCV and standardized-mean estimates")
-    p_est.add_argument("file")
-    common(p_est, with_target=False)
+    common(p_est, tests=False)
     p_est.set_defaults(func=cmd_estimate)
 
     p_test = sub.add_parser("test", help="global Wald-type test")
-    p_test.add_argument("file")
     common(p_test)
     p_test.add_argument("--contrasts", default="ksample")
-    p_test.add_argument("--layout", default=None, help="factor layout, e.g. A:2,E:2")
     p_test.add_argument("--method", default="permutation", choices=("asymptotic", "permutation", "bootstrap"))
-    p_test.add_argument("--B", type=int, default=1000, help="resampling iterations")
     p_test.set_defaults(func=cmd_test)
 
     p_mct = sub.add_parser("mct", help="multiple contrast test with simultaneous CIs")
-    p_mct.add_argument("file")
     common(p_mct)
     p_mct.add_argument("--contrasts", default="tukey")
-    p_mct.add_argument("--layout", default=None)
     p_mct.add_argument("--method", default="bootstrap", choices=("asymptotic", "bootstrap"))
-    p_mct.add_argument("--B", type=int, default=1000)
     p_mct.add_argument("--mc-draws", dest="mc_draws", type=int, default=100_000)
     p_mct.add_argument("--table", default=None, help="write the contrast table CSV here")
     p_mct.set_defaults(func=cmd_mct)

@@ -543,9 +543,8 @@ def estimate(variant: McvVariant, sample: Sample) -> EstimateResult:
     return _estimate_array(variant, sample.values)
 
 
-def _intervals(est: EstimateResult, alpha: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Asymptotic two-sided intervals for c and b from an estimate, at an already checked ``alpha``."""
-    z = normal_quantile(1.0 - alpha / 2.0)
+def _intervals(est: EstimateResult, z: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Asymptotic two-sided intervals for c and b from an estimate, at the normal quantile ``z``."""
     scale = z / math.sqrt(est.n)
     half_c = scale * math.sqrt(est.var_c)
     half_b = scale * math.sqrt(est.var_b)
@@ -557,4 +556,4 @@ def one_sample_ci(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Asymptotic two-sided confidence intervals for the MCV and its reciprocal."""
     check_alpha(alpha)
-    return _intervals(estimate(variant, sample), alpha)
+    return _intervals(estimate(variant, sample), normal_quantile(1.0 - alpha / 2.0))

@@ -174,12 +174,28 @@ def _parse_tests(tests: tuple[str, ...], default_kind: str) -> tuple[_TestSpec, 
     return tuple(specs)
 
 
-def _check_run(alpha: float, replicates: int, resamples: int) -> None:
+def _check_settings(
+    n: tuple[int, ...], distribution: str, target_kind: str, tests: tuple[str, ...],
+    alpha: float, replicates: int, resamples: int,
+) -> tuple[_TestSpec, ...]:
+    """Check the settings that ScenarioConfig and run_moment_mimic share, and parse the tests.
+
+    Both call it before any replicate runs or any worker starts.
+    """
+    if len(n) < 2:
+        raise ValueError(f"a study needs at least two groups, got {len(n)}")
+    if any(v < 2 for v in n):
+        raise ValueError("every group needs at least two observations")
+    if distribution not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {distribution!r}; choose from {DISTRIBUTIONS}")
+    if target_kind not in ("c", "b"):
+        raise ValueError(f"target_kind must be 'c' or 'b', got {target_kind!r}")
     check_alpha(alpha)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
+    return _parse_tests(tests, target_kind)
 
 
 @dataclass(frozen=True)
@@ -209,26 +225,18 @@ class ScenarioConfig:
         object.__setattr__(self, "targets", tuple(float(v) for v in self.targets))
         object.__setattr__(self, "tests", tuple(self.tests))
         object.__setattr__(self, "variant", McvVariant(self.variant))
-        if self.k < 2:
-            raise ValueError(f"a scenario needs at least two groups, got k={self.k}")
         if len(self.n) != self.k or len(self.targets) != self.k:
             raise ValueError("k, n, and targets must describe the same number of groups")
-        if any(v < 2 for v in self.n):
-            raise ValueError("every group needs at least two observations")
+        _check_settings(self.n, self.distribution, self.target_kind, self.tests,
+                        self.alpha, self.replicates, self.resamples)
         if len(self.mu) != self.d:
             raise ValueError(f"mu has length {len(self.mu)}, expected d={self.d}")
         if not all(math.isfinite(v) for v in self.mu + self.targets):
             raise ValueError("mu and targets must be finite")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if any(t <= 0.0 for t in self.targets):
             raise ValueError("MCV targets must be positive")
-        if self.target_kind not in ("c", "b"):
-            raise ValueError(f"target_kind must be 'c' or 'b', got {self.target_kind!r}")
-        _check_run(self.alpha, self.replicates, self.resamples)
-        _parse_tests(self.tests, self.target_kind)
 
 
 @dataclass(frozen=True)
@@ -409,31 +417,12 @@ def _aggregate(
     )
 
 
-def _run_study(
-    name: str, es: _EngineSpec, replicates: int, workers: int | None, start: float,
-    rho: str = "", targets: str = "",
-) -> ScenarioResult:
-    """Run the replicates of a resolved study and aggregate them under its tidy metadata."""
-    per_rep = _run_engine(es, replicates, workers)
-    meta = {
-        "scenario": name,
-        "k": len(es.n),
-        "d": len(es.mus[0]),
-        "n_per_group": "|".join(str(v) for v in es.n),
-        "distribution": es.distribution,
-        "rho": rho,
-        "variant": es.variant.value,
-        "targets": targets,
-        "alpha": f"{es.alpha:g}",
-        "seed": es.seed,
-        "replicates": replicates,
-        "resamples": es.resamples,
-    }
-    return _aggregate(meta, es.specs, per_rep, es.alpha, time.perf_counter() - start)
-
-
 def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioResult:
     """Run one scenario; replicate r uses streams derived from (seed, r).
+
+    A scenario is run_moment_mimic's study with mean mu in every group and
+    the compound-symmetric covariance scaled to each group's target; its
+    tidy rows also carry rho and the targets.
 
     Replicates run in ``worker_count(workers)`` processes, the process's one
     worker pool, which resampling calls share.  With more than one, the
@@ -444,26 +433,16 @@ def run_scenario(cfg: ScenarioConfig, workers: int | None = None) -> ScenarioRes
     first parallel call does not reach them.  A daemonic process, which may not
     have children, runs the replicates itself.
     """
-    start = time.perf_counter()
     mu = np.asarray(cfg.mu, dtype=float)
     base = compound_symmetric(cfg.d, cfg.rho)
-    roots = tuple(
-        sym_sqrt(scale_to_target(cfg.variant, mu, base, cfg.targets[i])) for i in range(cfg.k)
-    )
-    es = _EngineSpec(
-        mus=tuple(mu for _ in range(cfg.k)),
-        sigma_roots=roots,
-        n=cfg.n,
-        distribution=cfg.distribution,
-        variant=cfg.variant,
-        alpha=cfg.alpha,
-        resamples=cfg.resamples,
-        mc_draws=cfg.mc_draws,
-        seed=cfg.seed,
-        specs=_parse_tests(cfg.tests, cfg.target_kind),
+    result = run_moment_mimic(
+        mus=[mu] * cfg.k, sigmas=[scale_to_target(cfg.variant, mu, base, t) for t in cfg.targets],
+        n=cfg.n, distribution=cfg.distribution, variant=cfg.variant, tests=cfg.tests,
+        alpha=cfg.alpha, replicates=cfg.replicates, resamples=cfg.resamples,
+        target_kind=cfg.target_kind, mc_draws=cfg.mc_draws, seed=cfg.seed, workers=workers, name=cfg.name,
     )
     targets = "|".join(f"{t:g}" for t in cfg.targets)
-    return _run_study(cfg.name, es, cfg.replicates, workers, start, f"{cfg.rho:g}", targets)
+    return replace(result, meta={**result.meta, "rho": f"{cfg.rho:g}", "targets": targets})
 
 
 def run_moment_mimic(
@@ -484,14 +463,15 @@ def run_moment_mimic(
 ) -> ScenarioResult:
     """Size/power study at user-supplied per-group means and covariances.
 
-    Identical groups make this a size study, differing groups a power study;
-    the replicate engine is the same as run_scenario's.
+    Identical groups make this a size study, differing groups a power study.
+    The settings ScenarioConfig also checks (``_check_settings``), the
+    shapes and the finiteness of the moments are checked before any
+    replicate runs.
     """
     start = time.perf_counter()
-    k = len(mus)
-    if not (k == len(sigmas) == len(n)) or k < 2:
-        raise ValueError("need matching mus, sigmas, and n for at least two groups")
-    _check_run(alpha, replicates, resamples)
+    if not len(mus) == len(sigmas) == len(n):
+        raise ValueError("mus, sigmas, and n must describe the same number of groups")
+    specs = _check_settings(n, distribution, target_kind, tests, alpha, replicates, resamples)
     mus = [np.asarray(m, dtype=float).reshape(-1) for m in mus]
     sigmas = [np.asarray(s, dtype=float) for s in sigmas]
     d = mus[0].size
@@ -499,10 +479,9 @@ def run_moment_mimic(
         raise ValueError(f"every mean needs length d={d} and every covariance shape ({d}, {d})")
     if not all(np.isfinite(a).all() for a in mus + sigmas):
         raise ValueError("means and covariances must be finite")
-    roots = tuple(sym_sqrt(s) for s in sigmas)
     es = _EngineSpec(
         mus=tuple(mus),
-        sigma_roots=roots,
+        sigma_roots=tuple(sym_sqrt(s) for s in sigmas),
         n=tuple(int(v) for v in n),
         distribution=distribution,
         variant=McvVariant(variant),
@@ -510,9 +489,24 @@ def run_moment_mimic(
         resamples=resamples,
         mc_draws=mc_draws,
         seed=seed,
-        specs=_parse_tests(tuple(tests), target_kind),
+        specs=specs,
     )
-    return _run_study(name, es, replicates, workers, start)
+    per_rep = _run_engine(es, replicates, workers)
+    meta = {
+        "scenario": name,
+        "k": len(es.n),
+        "d": d,
+        "n_per_group": "|".join(str(v) for v in es.n),
+        "distribution": distribution,
+        "rho": "",
+        "variant": es.variant.value,
+        "targets": "",
+        "alpha": f"{alpha:g}",
+        "seed": seed,
+        "replicates": replicates,
+        "resamples": resamples,
+    }
+    return _aggregate(meta, specs, per_rep, alpha, time.perf_counter() - start)
 
 
 def tidy_rows(result: ScenarioResult) -> list[dict]:

@@ -1,20 +1,22 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mcvtests import _resampling, cli, estimation, tests_global, tests_multiple
@@ -29,7 +31,7 @@ from mcvtests.cli import (
 )
 from mcvtests.design import centering_matrix
 from mcvtests.numkit import make_rng
-from mcvtests.sim import run_scenario
+from mcvtests.sim import ScenarioConfig, run_moment_mimic, run_scenario
 
 
 def write_csv(path, header, rows):
@@ -176,7 +178,7 @@ class TestEstimateCommand:
         calls = []
         original = estimation._estimate_array
         monkeypatch.setattr(
-            estimation, "_estimate_array",
+            cli, "_estimate_array",
             lambda variant, x: calls.append((variant.value, x[0, 0])) or original(variant, x),
         )
         out = tmp_path / "report.json"
@@ -187,6 +189,24 @@ class TestEstimateCommand:
         sample = estimation.Sample(read_groups(four_group_file)[0][1])
         ci_c, ci_b = estimation.one_sample_ci(estimation.McvVariant(row["variant"]), sample, 0.05)
         assert row["ci_c"] == list(ci_c) and row["ci_b"] == list(ci_b)
+
+    @pytest.mark.parametrize("sizes, variant", [((4, 4), "all"), ((4, 3), "vv")])
+    def test_one_small_group_warning_per_command(self, tmp_path, sizes, variant):
+        # In a fresh interpreter, where the first normal quantile imports
+        # scipy.special, which resets the warning registry.
+        gen = make_rng(8).generator()
+        rows = [[g, *(2.0 + gen.standard_normal(3))] for g, m in zip("ab", sizes) for _ in range(m)]
+        path = tmp_path / "small.csv"
+        write_csv(path, ["group", "x1", "x2", "x3"], rows)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcvtests.cli", "estimate", str(path), "--variant", variant,
+             "--out", str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr.count("variance estimation is unreliable") == 1, proc.stderr
+        assert f"n={min(sizes)} < d+2=5" in proc.stderr
 
 
 class TestTestCommand:
@@ -287,6 +307,36 @@ class TestMctCommand:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestReportInputs:
+    """A report's inputs are every flag of its command except the output paths and --workers."""
+
+    FLAGS = {
+        "estimate": {"file", "variant", "alpha"},
+        "test": {"file", "variant", "target", "alpha", "seed", "contrasts", "layout", "method", "B"},
+        "mct": {"file", "variant", "target", "alpha", "seed", "contrasts", "layout", "method", "B", "mc_draws"},
+    }
+
+    @pytest.mark.parametrize("command", ["test", "mct"])
+    def test_a_factorial_report_records_its_layout(self, four_group_file, tmp_path, command):
+        out = tmp_path / "r.json"
+        argv = [command, four_group_file, "--variant", "vv", "--contrasts", "factorial:A",
+                "--layout", "A:2,E:2", "--method", "bootstrap", "--B", "20", "--out", str(out)]
+        if command == "mct":
+            argv += ["--table", str(tmp_path / "t.csv")]
+        assert main(argv) == EXIT_OK
+        inputs = json.loads(out.read_text())["inputs"]
+        assert set(inputs) == self.FLAGS[command]
+        assert inputs["layout"] == "A:2,E:2"
+
+    def test_estimate_takes_no_seed(self, four_group_file, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["estimate", four_group_file, "--out", str(out)]) == EXIT_OK
+        assert set(json.loads(out.read_text())["inputs"]) == self.FLAGS["estimate"]
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", four_group_file, "--seed", "1"])
+        assert exc.value.code == EXIT_INPUT
 
 
 @pytest.mark.usefixtures("fresh_pool")
@@ -536,6 +586,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
         assert "MCV_THREADS" in capsys.readouterr().err
 
+    def test_report_inputs_leave_out_outputs_and_workers(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        report = tmp_path / "r.json"
+        argv = ["simulate", "--config", cfg, "--workers", "1", "--out", str(tmp_path / "t.csv"), "--report", str(report)]
+        assert main(argv) == EXIT_OK
+        assert json.loads(report.read_text())["inputs"] == {"config": cfg, "preset": None}
+
     def test_mimic_mode(self, tmp_path):
         path = tmp_path / "mimic.cfg"
         path.write_text(
@@ -766,3 +823,154 @@ class TestCliFuzz:
                         code = main(argv)
                     assert code in (EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE), (argv, err.getvalue())
                     assert "Traceback" not in err.getvalue()
+
+
+def _write_config(path, values):
+    Path(path).write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    return str(path)
+
+
+class TestConfigFiles:
+    """Config keys are parsed through one table; a key the mode does not read is an input error."""
+
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [
+            (_SCENARIO, "replicate", "3"),
+            (_SCENARIO, "test", "boot_wald"),
+            (_SCENARIO, "mu_1", "2.0,1.0"),
+            (_MIMIC, "mu", "2.0,1.0"),
+            (_MIMIC, "rho", "0.1"),
+            (_MIMIC, "sigma_3", "1,0;0,1"),
+        ],
+    )
+    def test_a_key_its_mode_does_not_read_is_named(self, tmp_path, capsys, base, key, value):
+        cfg = _write_config(tmp_path / "c.cfg", {**base, key: value})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base, key",
+        [(_SCENARIO, k) for k in ("d", "n", "mu", "targets", "variant")]
+        + [(_MIMIC, k) for k in ("n", "variant", "mu_2", "sigma_1")],
+    )
+    def test_a_missing_required_key_is_named(self, tmp_path, capsys, base, key):
+        cfg = _write_config(tmp_path / "c.cfg", {k: v for k, v in base.items() if k != key})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
+        assert f"missing key {key!r}" in capsys.readouterr().err
+
+    def test_an_absent_key_takes_the_library_default(self, tmp_path):
+        scenario = cli.load_config(_write_config(tmp_path / "s.cfg", _SCENARIO))["config"]
+        assert (scenario.mc_draws, scenario.target_kind, scenario.rho) == (100_000, "c", 0.0)
+        mimic = cli.load_config(_write_config(tmp_path / "m.cfg", _MIMIC))["config"]
+        assert {"seed", "mc_draws", "target_kind"}.isdisjoint(mimic)
+        assert (mimic["name"], mimic["distribution"]) == ("m.cfg", "normal")
+
+    def test_every_key_is_a_library_setting(self):
+        # Scenario keys are ScenarioConfig fields; mimic keys are
+        # run_moment_mimic parameters, with mu_<i> and sigma_<i> gathered
+        # into mus and sigmas.
+        settings = {
+            "scenario": {f.name for f in fields(ScenarioConfig)},
+            "mimic": set(inspect.signature(run_moment_mimic).parameters),
+        }
+        for key, (_, modes) in cli.CONFIG_KEYS.items():
+            name = {"mu_<i>": "mus", "sigma_<i>": "sigmas"}.get(key, key)
+            for mode in modes:
+                assert key == "mode" or name in settings[mode], (key, mode)
+
+    def test_readme_lists_every_key_and_its_example_loads(self, tmp_path):
+        # The docs cannot drift from the loader: README's key table is the
+        # loader's, mode for mode, with the library's defaults; its example
+        # config loads.
+        text = (Path(cli.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([^`]+)` \| (\w+) \| ([^|]+) \|", text, flags=re.M)
+        table = {key: (read_by, default.strip()) for key, read_by, default in rows}
+        assert set(table) == set(cli.CONFIG_KEYS)
+        modes = {"both": ("scenario", "mimic"), "scenario": ("scenario",), "mimic": ("mimic",)}
+        defaults = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
+        for key, (parse, read_by) in cli.CONFIG_KEYS.items():
+            assert modes[table[key][0]] == read_by, key
+            if key in defaults:
+                assert parse(table[key][1].strip("`")) == defaults[key], key
+        path = tmp_path / "readme.cfg"
+        path.write_text(re.search(r"```ini\n(.*?)```", text, flags=re.S).group(1))
+        loaded = cli.load_config(str(path))
+        assert loaded["mode"] == "scenario"
+        assert (loaded["config"].name, loaded["config"].k, len(loaded["config"].tests)) == ("my-size-study", 4, 5)
+
+
+# Values a fuzzed config may give a key: well-formed ones within small
+# limits (n_i <= 12, d <= 3, replicates <= 3, resamples <= 5, mc_draws <=
+# 200), and malformed ones.
+_FUZZ_NUMBERS = st.lists(st.sampled_from(["2.0", "-1.5", "0.5", "1e-3", "0"]), min_size=1, max_size=3).map(",".join)
+_FUZZ_GOOD = {
+    "mode": st.sampled_from(["scenario", "mimic", "other"]),
+    "name": st.just("fuzz"),
+    "d": st.integers(0, 3).map(str),
+    # Two groups, as the base configs have, or any count.
+    "n": st.one_of(st.lists(st.integers(1, 12), min_size=2, max_size=2),
+                   st.lists(st.integers(1, 12), min_size=1, max_size=4)).map(lambda v: ",".join(map(str, v))),
+    "distribution": st.sampled_from(["normal", "student5", "chisq10", "cauchy"]),
+    "rho": st.sampled_from(["0", "0.3", "-0.2", "1"]),
+    "mu": _FUZZ_NUMBERS,
+    "targets": _FUZZ_NUMBERS,
+    "mu_<i>": _FUZZ_NUMBERS,
+    "sigma_<i>": st.sampled_from(["1,0;0,1", "1,0.5;0.5,1", "1,2;2,1", "2", "1,0;0", "0,0;0,0", "1,0,0;0,1,0;0,0,1"]),
+    "variant": st.sampled_from(["rr", "vv", "vn", "az", "xx"]),
+    "target_kind": st.sampled_from(["c", "b", "z"]),
+    "alpha": st.sampled_from(["0.05", "0.5", "0", "1"]),
+    "replicates": st.integers(1, 3).map(str),
+    "resamples": st.integers(1, 5).map(str),
+    "mc_draws": st.integers(0, 200).map(str),
+    "seed": st.integers(-1, 5).map(str),
+    "tests": st.lists(
+        st.sampled_from(["asym_wald", "perm_wald:b", "boot_wald", "asym_mct:c", "boot_mct", "boot_mct:x", "oops"]),
+        max_size=3,
+    ).map(",".join),
+}
+_FUZZ_BAD = st.sampled_from(["", "oops", "1,,2", "nan", "inf", "-1", "2;x"])
+# Misspelled keys, and per-group keys of groups that may not exist.
+_FUZZ_KEYS = sorted(
+    (set(cli.CONFIG_KEYS) - {"mu_<i>", "sigma_<i>"})
+    | {f"{p}_{i}" for p in ("mu", "sigma") for i in range(4)}
+    | {"replicate", "test", "targetkind", "Variant"}
+)
+# Never dropped: their defaults (1000 replicates of 500 resamples, 100,000
+# draws) would make one example take minutes.
+_FUZZ_KEPT = ("replicates", "resamples", "mc_draws")
+
+
+@st.composite
+def fuzz_config(draw):
+    """A scenario or mimic config with a few keys set, spoilt, dropped or added."""
+    values = dict(draw(st.sampled_from([_SCENARIO, _MIMIC])), mc_draws="50")
+    # Mostly the mode's own keys, set to well-formed values, so that some
+    # configs run.
+    keys = st.one_of(st.sampled_from(sorted(values)), st.sampled_from(_FUZZ_KEYS))
+    for key in draw(st.lists(keys, max_size=3, unique=True)):
+        action = draw(st.sampled_from(["set", "set", "set", "spoil", "drop"]))
+        if action == "drop" and key not in _FUZZ_KEPT:
+            values.pop(key, None)
+        elif action == "spoil":
+            values[key] = draw(_FUZZ_BAD)
+        else:
+            prefix, _, number = key.rpartition("_")
+            values[key] = draw(_FUZZ_GOOD.get(f"{prefix}_<i>" if number.isdigit() else key, _FUZZ_BAD))
+    return values
+
+
+class TestConfigFuzz:
+    """Any config file ends ``simulate`` with exit 0, 2 or 3, never a traceback."""
+
+    @given(fuzz_config())
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_simulate_exits_cleanly(self, monkeypatch, values):
+        monkeypatch.delenv("MCV_THREADS", raising=False)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _write_config(os.path.join(tmp, "fuzz.cfg"), values)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", cfg, "--out", os.path.join(tmp, "t.csv")])
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE), (values, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -271,6 +271,28 @@ class TestRunMomentMimic:
         with pytest.raises(ValueError, match=match):
             run_moment_mimic(**kwargs)
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"distribution": "cauchy"}, "unknown distribution"),
+            ({"n": (1, 10)}, "two observations"),
+            ({"target_kind": "x"}, "target_kind"),
+            ({"tests": ("perm_wald:x",)}, "target"),
+        ],
+    )
+    def test_rejects_bad_settings_before_any_worker_starts(self, pool_builds, overrides, match):
+        # The checks ScenarioConfig makes; without them a run would fail, or
+        # count degenerate replicates, only inside its replicates.
+        kwargs = dict(
+            mus=[np.array([2.0, 1.0])] * 2, sigmas=[np.eye(2)] * 2, n=(10, 10),
+            distribution="normal", variant=McvVariant.VV, tests=("perm_wald",),
+            replicates=4, resamples=5, workers=2,
+        )
+        kwargs.update(overrides)
+        with pytest.raises(ValueError, match=match):
+            run_moment_mimic(**kwargs)
+        assert pool_builds == []
+
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
@@ -386,6 +408,12 @@ class TestWorkerPool:
         assert len(pool_builds) == 2
         with pytest.raises(RuntimeError, match="shutdown"):
             pool_builds[0].submit(os.getpid)
+
+    def test_a_pool_forks_no_more_workers_than_tasks(self, pool_builds):
+        run_scenario(replace(self.CFG, replicates=2), workers=4)
+        assert len(pool_builds) == 1
+        assert _resampling._pool[1] == 2
+        assert len(pool_builds[0]._processes) == 2
 
     def test_a_worker_killed_between_calls_fails_no_call(self, pool_builds, kill_a_worker):
         expected = self.rows(2)
