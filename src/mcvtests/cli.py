@@ -444,7 +444,7 @@ def _config_from_values(raw: dict, path: str) -> dict:
         prefix, _, number = key.rpartition("_")
         parse, modes = CONFIG_KEYS.get(f"{prefix}_<i>" if number.isdigit() else key, (None, ()))
         if mode not in modes:
-            raise InputError(f"{path}: key {key!r} is not a {mode} setting")
+            raise InputError(f"key {key!r} is not a {mode} setting")
         try:
             values[key] = parse(text)
         except ValueError as exc:
@@ -459,12 +459,12 @@ def _config_from_values(raw: dict, path: str) -> dict:
         values["sigmas"] = [values.pop(f"sigma_{i + 1}") for i in range(k)]
         extra = [key for key in values if key.startswith(("mu_", "sigma_"))]
         if extra:
-            raise InputError(f"{path}: key {extra[0]!r} is not read; n gives {k} groups")
+            raise InputError(f"key {extra[0]!r} is not read; n gives {k} groups")
         entry = run_moment_mimic
     params = inspect.signature(entry).parameters.values()
     missing = [p.name for p in params if p.default is p.empty and p.name not in values]
     if missing:
-        raise InputError(f"{path}: missing key {missing[0]!r}")
+        raise InputError(f"missing key {missing[0]!r}")
     return {"mode": mode, "config": ScenarioConfig(**values) if mode == "scenario" else values}
 
 

@@ -847,7 +847,8 @@ class TestConfigFiles:
     def test_a_key_its_mode_does_not_read_is_named(self, tmp_path, capsys, base, key, value):
         cfg = _write_config(tmp_path / "c.cfg", {**base, key: value})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_INPUT
-        assert repr(key) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(key) in err and err.count(cfg) == 1, err
 
     @pytest.mark.parametrize(
         "base, key",
