@@ -8,17 +8,20 @@ distributions.
 
     python scripts/run_mimic_study.py data.csv --variant vv --mode size --out mimic.csv
 
-A bad file or setting ends with a one-line message and exit code 2.
+A bad file or setting ends with a one-line message and exit code 2, and
+leaves no output file.  A reader that closes the output pipe early ends it
+with exit code 0.
 """
 
 import argparse
 import contextlib
 import csv
+import os
 import sys
 
 import numpy as np
 
-from mcvtests.cli import EXIT_INPUT, read_groups
+from mcvtests.cli import EXIT_INPUT, EXIT_OK, read_groups
 from mcvtests.estimation import McvVariant
 from mcvtests.sim import TIDY_COLUMNS, run_moment_mimic, tidy_rows
 
@@ -54,9 +57,8 @@ def main() -> int:
             mus.append(mu)
             sigmas.append(xc.T @ xc / v.shape[0])
 
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(TIDY_COLUMNS), lineterminator="\n")
-        writer.writeheader()
+    with contextlib.ExitStack() as stack:
+        writer = None
         for dist in ("normal", "student5", "chisq10"):
             result = run_moment_mimic(
                 mus,
@@ -71,8 +73,12 @@ def main() -> int:
                 workers=args.workers,
                 name=f"mimic-{args.mode}-{dist}",
             )
-            for row in tidy_rows(result):
-                writer.writerow(row)
+            if writer is None:
+                # Opened only now, so a setting the first study rejects leaves no file.
+                fh = stack.enter_context(open(args.out, "w", newline="")) if args.out else sys.stdout
+                writer = csv.DictWriter(fh, fieldnames=list(TIDY_COLUMNS), lineterminator="\n")
+                writer.writeheader()
+            writer.writerows(tidy_rows(result))
             fh.flush()
             print(f"{dist}: {result.wall_clock:.0f}s", file=sys.stderr, flush=True)
     return 0
@@ -81,6 +87,11 @@ def main() -> int:
 if __name__ == "__main__":
     try:
         sys.exit(main())
+    except BrokenPipeError:
+        # The reader closed stdout on purpose (``| head``).  Point stdout at
+        # devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_OK)
     except ValueError as exc:  # a bad file or setting, InputError included
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_INPUT)

@@ -77,25 +77,30 @@ def target_values(stats: np.ndarray, kind: str, sizes: tuple[int, ...]) -> tuple
     return stats[:, col_val], weights * stats[:, col_var]
 
 
-def mcv_threads() -> int:
-    """The positive count set in ``MCV_THREADS``, or 0 when it is unset, empty or not positive.
+def worker_count(requested: int | None = None, default: int = 1) -> int:
+    """Worker processes for a call; the one reader of ``MCV_THREADS``.
 
-    The one reader of the variable: it caps the worker processes of both the
-    simulator and a resampling call.  A value that is not an integer is a
-    ``ValueError`` naming it.
+    ``MCV_THREADS``, when set to a positive count, is both the default and
+    the cap.  When it is unset, empty or not positive, ``requested`` stands,
+    and without one the caller's ``default``: one process for a simulation,
+    ``cpu_count()`` for a public resampling call.  A requested count below
+    one, or a variable that is not an integer, is a ``ValueError``.
     """
+    if requested is not None and requested < 1:
+        raise ValueError(f"worker count must be at least 1, got {requested}")
     raw = os.environ.get("MCV_THREADS", "")
     try:
-        value = int(raw or 0)
+        cap = max(int(raw or 0), 0)
     except ValueError:
         raise ValueError(f"MCV_THREADS must be an integer, got {raw!r}") from None
-    return max(value, 0)
+    if requested is None:
+        return cap or default
+    return min(requested, cap) if cap else requested
 
 
-def resampling_workers() -> int:
-    """Workers a public resampling call may use: ``MCV_THREADS`` when set, else this process's CPUs."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return mcv_threads() or cpus or 1
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # This thread's kept buffers of _estimate_chunks, by name (see _scratch).

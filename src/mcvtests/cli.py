@@ -3,7 +3,8 @@
 Data files are UTF-8 CSV with a header row, a string ``group`` column, and
 numeric coordinate columns.  Reports are JSON documents whose bodies are
 byte-identical across reruns with the same inputs and seed.  Exit codes:
-0 success, 2 input or validation error, 3 statistical degeneracy.
+0 success (also when a reader closes the output pipe early), 2 input or
+validation error, 3 statistical degeneracy.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .tests_global import (
     permutation_test,
 )
 from .tests_multiple import TABLE_COLUMNS, asymptotic_mct, bootstrap_mct, mct_global_p
-from .numkit import check_alpha, make_rng, normal_quantile
+from .numkit import check_alpha, check_count, make_rng, normal_quantile
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -98,8 +99,6 @@ def read_groups(path: str) -> list[tuple[str, np.ndarray]]:
 
 
 def grouped_data(groups: list[tuple[str, np.ndarray]]) -> GroupedData:
-    if len(groups) < 2:
-        raise InputError(f"need at least two groups for testing, found {len(groups)}")
     try:
         return GroupedData.from_arrays([g[1] for g in groups], tuple(g[0] for g in groups))
     except ValueError as exc:
@@ -231,20 +230,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 ci_c, ci_b = _intervals(est, z)
             except DegeneracyError as exc:
                 raise DegeneracyError(f"group {label}: {exc}") from None
-            table.append(
-                {
-                    "group": label,
-                    "variant": variant.value,
-                    "n": sample.n,
-                    "d": sample.d,
-                    "c": est.c,
-                    "b": est.b,
-                    "var_c": est.var_c,
-                    "var_b": est.var_b,
-                    "ci_c": list(ci_c),
-                    "ci_b": list(ci_b),
-                }
-            )
+            table.append({**vars(est), "variant": variant.value, "group": label, "d": sample.d,
+                          "ci_c": list(ci_c), "ci_b": list(ci_b)})
     _emit_report(_report(args, estimates=table), args.out)
     return EXIT_OK
 
@@ -261,52 +248,35 @@ def _group_sizes(data: GroupedData) -> list[dict]:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    rng = make_rng(args.seed)
     data, cm = _load_design(args)
     results = []
     for variant in _variants(args.variant):
         target = Target(args.target, variant)
-        rng = make_rng(args.seed)
         if args.method == "asymptotic":
             res = asymptotic_test(target, data, cm, args.alpha)
         elif args.method == "permutation":
             res = permutation_test(target, data, cm, args.alpha, args.B, rng)
-        elif args.method == "bootstrap":
-            res = bootstrap_test(target, data, cm, args.alpha, args.B, rng)
         else:
-            raise InputError(f"unknown method {args.method!r}")
-        results.append(
-            {
-                "variant": variant.value,
-                "target": args.target,
-                "method": res.method,
-                "statistic": res.statistic,
-                "rank": res.rank,
-                "p_value": res.p_value,
-                "alpha": res.alpha,
-                "reject": res.reject,
-                "resamples_used": res.resamples_used,
-                "resamples_degenerate": res.resamples_degenerate,
-                "seed": res.seed,
-            }
-        )
+            res = bootstrap_test(target, data, cm, args.alpha, args.B, rng)
+        results.append({**vars(res), "reject": res.reject, "variant": variant.value, "target": args.target})
     report = _report(args, groups=_group_sizes(data), contrast_labels=list(cm.labels), tests=results)
     _emit_report(report, args.out)
     return EXIT_OK
 
 
 def cmd_mct(args: argparse.Namespace) -> int:
+    check_count("mc_draws", args.mc_draws)
+    rng = make_rng(args.seed)
     data, cm = _load_design(args)
     blocks = []
     table: list[dict] = []
     for variant in _variants(args.variant):
         target = Target(args.target, variant)
-        rng = make_rng(args.seed)
         if args.method == "asymptotic":
             res = asymptotic_mct(target, data, cm, args.alpha, args.mc_draws, rng)
-        elif args.method == "bootstrap":
-            res = bootstrap_mct(target, data, cm, args.alpha, args.B, rng)
         else:
-            raise InputError(f"unknown method {args.method!r}")
+            res = bootstrap_mct(target, data, cm, args.alpha, args.B, rng)
         block = res.to_dict()
         block["global_p"] = mct_global_p(res, args.mc_draws, rng.substream(987))
         blocks.append(block)
@@ -557,7 +527,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout on purpose (``| head``).  Point stdout at
+        # devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except DegeneracyError as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

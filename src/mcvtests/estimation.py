@@ -200,17 +200,37 @@ def dtilde(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Degeneracy codes of _estimate_stack, and the one spelling of each message;
+# mcv and the single-sample checks raise the same ones.  0 marks a regular slice.
+_REASONS = (
+    "",
+    "mean vector is zero",
+    "covariance matrix is singular ({variant} needs full rank)",
+    "covariance determinant is not positive",
+    "covariance trace is not positive",
+    "Mahalanobis form of the mean is not positive",
+    "covariance quadratic form of the mean is not positive",
+    "estimate under- or overflowed",
+)
+(_OK, _ZERO_MEAN, _SINGULAR, _DET, _TRACE, _MAHALANOBIS, _QUAD, _RANGE) = range(len(_REASONS))
+
+
+def degeneracy_reason(variant: McvVariant, code: int) -> str:
+    """Message for a nonzero degeneracy code of ``_estimate_stack``."""
+    return _REASONS[code].format(variant=variant.value)
+
+
 def _check_mean(mean: np.ndarray) -> float:
     mtm = float(mean @ mean)
     if mtm <= 0.0:
-        raise DegeneracyError("mean vector is zero")
+        raise DegeneracyError(_REASONS[_ZERO_MEAN])
     return mtm
 
 
 def _check_regular(cov: np.ndarray, variant: McvVariant) -> None:
     d = cov.shape[0]
     if numeric_rank(cov) < d:
-        raise DegeneracyError(f"covariance matrix is singular ({variant.value} needs full rank)")
+        raise DegeneracyError(degeneracy_reason(variant, _SINGULAR))
 
 
 def mcv(variant: McvVariant, mean: np.ndarray, cov: np.ndarray) -> float:
@@ -225,23 +245,23 @@ def mcv(variant: McvVariant, mean: np.ndarray, cov: np.ndarray) -> float:
         _check_regular(cov, variant)
         sign, logdet = np.linalg.slogdet(cov)
         if sign <= 0.0:
-            raise DegeneracyError("covariance determinant is not positive")
+            raise DegeneracyError(degeneracy_reason(variant, _DET))
         return math.exp(logdet / (2.0 * d)) / math.sqrt(mtm)
     if variant is McvVariant.VV:
         tr = float(cov.trace())
         if tr <= 0.0:
-            raise DegeneracyError("covariance trace is not positive")
+            raise DegeneracyError(degeneracy_reason(variant, _TRACE))
         return math.sqrt(tr / mtm)
     if variant is McvVariant.VN:
         _check_regular(cov, variant)
         quad = float(mean @ np.linalg.solve(cov, mean))
         if quad <= 0.0:
-            raise DegeneracyError("Mahalanobis form of the mean is not positive")
+            raise DegeneracyError(degeneracy_reason(variant, _MAHALANOBIS))
         return 1.0 / math.sqrt(quad)
     if variant is McvVariant.AZ:
         quad = float(mean @ cov @ mean)
         if quad <= 0.0:
-            raise DegeneracyError("covariance quadratic form of the mean is not positive")
+            raise DegeneracyError(degeneracy_reason(variant, _QUAD))
         return math.sqrt(quad) / mtm
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -342,25 +362,6 @@ def asymptotic_variance(variant: McvVariant, m: MomentSet) -> tuple[float, float
     first and raw second sample moments, and var_b = var_c / c^4.
     """
     return _variance_at(variant, m, mcv(variant, m.mean, m.cov))
-
-
-# Degeneracy codes of _estimate_stack; 0 marks a regular slice.
-_REASONS = (
-    "",
-    "mean vector is zero",
-    "covariance matrix is singular ({variant} needs full rank)",
-    "covariance determinant is not positive",
-    "covariance trace is not positive",
-    "Mahalanobis form of the mean is not positive",
-    "covariance quadratic form of the mean is not positive",
-    "estimate under- or overflowed",
-)
-(_OK, _ZERO_MEAN, _SINGULAR, _DET, _TRACE, _MAHALANOBIS, _QUAD, _RANGE) = range(len(_REASONS))
-
-
-def degeneracy_reason(variant: McvVariant, code: int) -> str:
-    """Message for a nonzero degeneracy code of ``_estimate_stack``."""
-    return _REASONS[code].format(variant=variant.value)
 
 
 def _rank_deficient(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

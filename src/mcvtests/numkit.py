@@ -7,6 +7,7 @@ build on these primitives.
 This is the package's one caller of scipy: ``normal_quantile`` and
 ``chi2_sf`` import ``scipy.special`` on first use, so importing the package
 loads no scipy module, and the permutation and bootstrap tests never do.
+``load_scipy`` imports it ahead of a pool of forked workers that will need it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "RngStream",
     "check_alpha",
+    "check_count",
     "chi2_sf",
     "make_rng",
     "mvn_equicoordinate_quantile",
@@ -57,6 +59,10 @@ class RngStream:
 
     seed: int
     stream: tuple[int, ...] = (0,)
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence((self.seed,) + self.stream)
@@ -240,6 +246,11 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
+def load_scipy() -> None:
+    """Import ``scipy.special`` now, so that processes forked later inherit it instead of each importing it."""
+    import scipy.special  # noqa: F401
+
+
 def chi2_sf(x: float, df: float) -> float:
     """Upper tail P(X > x) of the chi-square distribution with ``df`` degrees of freedom.
 
@@ -270,8 +281,7 @@ def mvn_maxabs_sample(
         raise ValueError("correlation matrix must be square")
     if not np.allclose(np.diag(corr), 1.0, atol=1e-8):
         raise ValueError("correlation matrix must have unit diagonal")
-    if draws < 1:
-        raise ValueError("draws must be positive")
+    check_count("draws", draws)
     root = sym_sqrt(corr)
     gen = (rng or make_rng(0)).generator()
     maxabs = np.empty(draws)
@@ -301,6 +311,12 @@ def check_alpha(alpha: float) -> None:
     """Reject a significance level outside the open interval (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def check_count(name: str, value: int) -> None:
+    """Reject a count of replicates, resamples or draws below one."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def order_statistic(values: np.ndarray, alpha: float) -> float:

@@ -26,22 +26,20 @@ import numpy as np
 from ._resampling import (
     can_start_workers,
     group_stats,
-    mcv_threads,
     pool_map,
     pooled_resample_estimates,
     target_values,
-    value_columns,
+    worker_count,
 )
 from .design import centering_matrix, tukey_contrasts
-from .estimation import DegeneracyError, McvVariant, Sample, mcv
-from .numkit import RngStream, check_alpha, make_rng, normal_quantile, sym_sqrt
+from .estimation import DegeneracyError, McvVariant, Sample, _estimate_array, mcv
+from .numkit import RngStream, check_alpha, check_count, load_scipy, make_rng, normal_quantile, sym_sqrt
 from .tests_global import Target, _wald_test
 from .tests_multiple import _mct_test
 
 # Not called here: bound only so that the benchmark's span tracer
 # (perfbench/spans.py, BOUNDARIES) still finds these names in this module.
 from ._resampling import wald_resample_stats, wald_value  # noqa: F401
-from .estimation import _estimate_array  # noqa: F401
 from .numkit import mvn_equicoordinate_quantile  # noqa: F401
 from .tests_multiple import bootstrap_mct_max_stats  # noqa: F401
 
@@ -176,7 +174,7 @@ def _parse_tests(tests: tuple[str, ...], default_kind: str) -> tuple[_TestSpec, 
 
 def _check_settings(
     n: tuple[int, ...], distribution: str, target_kind: str, tests: tuple[str, ...],
-    alpha: float, replicates: int, resamples: int,
+    alpha: float, replicates: int, resamples: int, mc_draws: int, seed: int,
 ) -> tuple[_TestSpec, ...]:
     """Check the settings that ScenarioConfig and run_moment_mimic share, and parse the tests.
 
@@ -191,10 +189,10 @@ def _check_settings(
     if target_kind not in ("c", "b"):
         raise ValueError(f"target_kind must be 'c' or 'b', got {target_kind!r}")
     check_alpha(alpha)
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if resamples < 1:
-        raise ValueError("resamples must be >= 1")
+    check_count("replicates", replicates)
+    check_count("resamples", resamples)
+    check_count("mc_draws", mc_draws)
+    make_rng(seed)  # RngStream rejects a negative seed
     return _parse_tests(tests, target_kind)
 
 
@@ -228,7 +226,7 @@ class ScenarioConfig:
         if len(self.n) != self.k or len(self.targets) != self.k:
             raise ValueError("k, n, and targets must describe the same number of groups")
         _check_settings(self.n, self.distribution, self.target_kind, self.tests,
-                        self.alpha, self.replicates, self.resamples)
+                        self.alpha, self.replicates, self.resamples, self.mc_draws, self.seed)
         if len(self.mu) != self.d:
             raise ValueError(f"mu has length {len(self.mu)}, expected d={self.d}")
         if not all(math.isfinite(v) for v in self.mu + self.targets):
@@ -330,7 +328,7 @@ def _run_replicate(es: _EngineSpec, r: int) -> dict:
         )
     if "boot_mct" in families:
         try:
-            pooled = group_stats(es.variant, [pool])[0]
+            pooled = _estimate_array(es.variant, pool)
         except DegeneracyError:
             pass
 
@@ -351,7 +349,7 @@ def _run_replicate(es: _EngineSpec, r: int) -> dict:
             elif pooled is None:
                 raise DegeneracyError("the pooled sample is degenerate; the bootstrap has no centre")
             else:
-                centred = (*boot, pooled[value_columns(spec.kind)[0]])
+                centred = (*boot, getattr(pooled, spec.kind))
                 res = _mct_test(target, pairs, theta, sigma, es.n, es.alpha, boot=centred)
         except DegeneracyError:
             out[spec.ident] = (None, 0)
@@ -360,25 +358,14 @@ def _run_replicate(es: _EngineSpec, r: int) -> dict:
     return out
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker processes for a run.
-
-    ``MCV_THREADS``, when set to a positive count, is both the default and
-    the cap; when unset, the default is one process.  A requested count
-    below one is a ``ValueError``.
-    """
-    if requested is not None and requested < 1:
-        raise ValueError(f"worker count must be at least 1, got {requested}")
-    cap = mcv_threads()
-    if requested is None:
-        return cap or 1
-    return min(requested, cap) if cap else requested
-
-
 def _run_engine(es: _EngineSpec, replicates: int, workers: int | None) -> list[dict]:
     workers = worker_count(workers)
     if workers <= 1 or replicates <= 1 or not can_start_workers():
         return [_run_replicate(es, r) for r in range(replicates)]
+    if any(spec.family == "asym_wald" for spec in es.specs):
+        # Its chi-square tail needs scipy.special: imported once here, the
+        # forked workers inherit it rather than each importing it.
+        load_scipy()
     tasks = [(es, r) for r in range(replicates)]
     chunk = max(1, replicates // (workers * 8))
     # Replicates are keyed by (seed, r), so pool_map's rerun gives the same rows.
@@ -471,7 +458,7 @@ def run_moment_mimic(
     start = time.perf_counter()
     if not len(mus) == len(sigmas) == len(n):
         raise ValueError("mus, sigmas, and n must describe the same number of groups")
-    specs = _check_settings(n, distribution, target_kind, tests, alpha, replicates, resamples)
+    specs = _check_settings(n, distribution, target_kind, tests, alpha, replicates, resamples, mc_draws, seed)
     mus = [np.asarray(m, dtype=float).reshape(-1) for m in mus]
     sigmas = [np.asarray(s, dtype=float) for s in sigmas]
     d = mus[0].size
@@ -520,15 +507,12 @@ def tidy_rows(result: ScenarioResult) -> list[dict]:
         rows.append(
             {
                 **result.meta,
+                **vars(oc),
                 "test": family,
                 "target": kind,
-                "valid_replicates": oc.valid_replicates,
-                "rejections": oc.rejections,
                 "proportion": f"{prop:.6f}" if not math.isnan(prop) else "",
                 "in_band95": str(lo95 <= prop <= hi95).lower() if not math.isnan(prop) else "",
                 "in_band99": str(lo99 <= prop <= hi99).lower() if not math.isnan(prop) else "",
-                "degenerate_replicates": oc.degenerate_replicates,
-                "degenerate_resamples": oc.degenerate_resamples,
             }
         )
     return rows

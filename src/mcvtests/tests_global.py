@@ -20,17 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._resampling import (
+    cpu_count,
     group_stats,
     pooled_resample_estimates,
     resampling_p_value,
-    resampling_workers,
     target_values,
+    value_columns,
     wald_resample_stats,
     wald_value,
+    worker_count,
 )
 from .design import ContrastMatrix, validate_contrast
 from .estimation import DegeneracyError, McvVariant, Sample, _warn_small_n
-from .numkit import RngStream, check_alpha, chi2_sf, numeric_rank
+from .numkit import RngStream, check_alpha, check_count, chi2_sf, numeric_rank
 
 __all__ = [
     "GroupedData",
@@ -52,8 +54,7 @@ class Target:
     variant: McvVariant
 
     def __post_init__(self) -> None:
-        if self.kind not in ("c", "b"):
-            raise ValueError(f"target kind must be 'c' or 'b', got {self.kind!r}")
+        value_columns(self.kind)  # rejects a kind other than 'c' or 'b'
         object.__setattr__(self, "variant", McvVariant(self.variant))
 
     def __str__(self) -> str:
@@ -258,13 +259,12 @@ def _resampling_test(
     method: str,
 ) -> TestResult:
     check_alpha(alpha)
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    check_count("resamples", resamples)
     cm, theta, sigma = _contrast_inputs(target, data, contrast)
     rng = rng or RngStream(0)
     resampled = pooled_resample_estimates(
         target.variant, data.pooled(), data.sizes, resamples, rng, replace=method == "bootstrap",
-        workers=resampling_workers(),
+        workers=worker_count(default=cpu_count()),
     )
     result = _wald_test(target.kind, theta, sigma, cm.h, data.sizes, alpha, resampled, method, rng.seed)
     _warn_rank(result.rank, cm.h)

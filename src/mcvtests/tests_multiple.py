@@ -18,19 +18,20 @@ The public tests and the simulation replicates both call it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._resampling import (
+    cpu_count,
     pooled_resample_estimates,
     resampling_p_value,
-    resampling_workers,
     value_columns,
+    worker_count,
 )
 from .design import ContrastMatrix
 from .estimation import DegeneracyError, _estimate_array
-from .numkit import RngStream, check_alpha, mvn_equicoordinate_quantile, mvn_maxabs_sample, order_statistic
+from .numkit import RngStream, check_alpha, check_count, mvn_equicoordinate_quantile, mvn_maxabs_sample, order_statistic
 from .tests_global import GroupedData, Target, _coerce_contrast, _contrast_inputs
 
 __all__ = [
@@ -54,6 +55,10 @@ TABLE_COLUMNS = (
 )
 
 
+# Metadata of an MctResult field that its report block leaves out.
+_UNREPORTED = {"report": False}
+
+
 @dataclass(frozen=True)
 class MctResult:
     """Per-contrast statistics, decisions, and simultaneous confidence intervals."""
@@ -68,12 +73,12 @@ class MctResult:
     correlation: np.ndarray
     method: str
     alpha: float
-    n: int
+    n: int = field(metadata=_UNREPORTED)
     seed: int | None = None
     resamples_used: int = 0
     resamples_degenerate: int = 0
     # Bootstrap max-statistic sample, kept for the companion global p-value.
-    resample_max: np.ndarray | None = field(default=None, repr=False)
+    resample_max: np.ndarray | None = field(default=None, repr=False, metadata=_UNREPORTED)
 
     @property
     def reject(self) -> bool:
@@ -81,22 +86,12 @@ class MctResult:
         return bool(self.decisions.any())
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target.kind,
-            "variant": self.target.variant.value,
-            "method": self.method,
-            "alpha": self.alpha,
-            "labels": list(self.labels),
-            "t": [float(v) for v in self.t],
-            "estimates": [float(v) for v in self.estimates],
-            "critical_value": float(self.critical_value),
-            "decisions": [bool(v) for v in self.decisions],
-            "sci": [[float(lo), float(hi)] for lo, hi in self.sci],
-            "correlation": [[float(v) for v in row] for row in self.correlation],
-            "seed": self.seed,
-            "resamples_used": self.resamples_used,
-            "resamples_degenerate": self.resamples_degenerate,
-        }
+        """The report block: every reported field, arrays and tuples as lists, the target as its kind and variant."""
+        block = {f.name: getattr(self, f.name) for f in fields(self) if f.metadata.get("report", True)}
+        block.update(target=self.target.kind, variant=self.target.variant.value)
+        for key, v in block.items():
+            block[key] = v.tolist() if isinstance(v, np.ndarray) else list(v) if isinstance(v, tuple) else v
+        return block
 
     def table_rows(self) -> list[dict]:
         """Rows shaped comparison/variant/target/method/estimate/lower/upper/significant."""
@@ -238,6 +233,7 @@ def asymptotic_mct(
 ) -> MctResult:
     """Multiple contrast test with the equicoordinate normal critical value."""
     check_alpha(alpha)
+    check_count("mc_draws", mc_draws)
     cm, theta, sigma = _contrast_inputs(target, data, contrast)
     rng = rng or RngStream(0)
     return _mct_test(target, cm, theta, sigma, data.sizes, alpha, mc=(mc_draws, rng), seed=rng.seed)
@@ -253,15 +249,13 @@ def bootstrap_mct(
 ) -> MctResult:
     """Multiple contrast test calibrated by the re-studentized pooled bootstrap."""
     check_alpha(alpha)
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    check_count("resamples", resamples)
     cm, theta, sigma = _contrast_inputs(target, data, contrast)
     rng = rng or RngStream(0)
     pool = data.pooled()
-    pooled_est = _estimate_array(target.variant, pool)
-    theta0 = pooled_est.c if target.kind == "c" else pooled_est.b
+    theta0 = getattr(_estimate_array(target.variant, pool), target.kind)
     stats, degenerate = pooled_resample_estimates(
-        target.variant, pool, data.sizes, resamples, rng, replace=True, workers=resampling_workers()
+        target.variant, pool, data.sizes, resamples, rng, replace=True, workers=worker_count(default=cpu_count())
     )
     return _mct_test(
         target, cm, theta, sigma, data.sizes, alpha, boot=(stats, degenerate, theta0), seed=rng.seed

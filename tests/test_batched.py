@@ -895,10 +895,12 @@ class TestWorkers:
             monkeypatch.delenv("MCV_THREADS", raising=False)
         else:
             monkeypatch.setenv("MCV_THREADS", raw)
-        assert _resampling.mcv_threads() == want
-        assert _resampling.resampling_workers() == (want or len(os.sched_getaffinity(0)))
+        cpus = len(os.sched_getaffinity(0))
+        assert _resampling.cpu_count() == cpus
+        assert _resampling.worker_count() == (want or 1)
+        assert _resampling.worker_count(default=cpus) == (want or cpus)
 
     def test_non_integer_thread_cap_is_value_error(self, monkeypatch):
         monkeypatch.setenv("MCV_THREADS", "2.5")
         with pytest.raises(ValueError, match="MCV_THREADS"):
-            _resampling.resampling_workers()
+            _resampling.worker_count(default=_resampling.cpu_count())

@@ -460,6 +460,24 @@ class TestScipyLoading:
         assert seen == [[]] * 5 + [["scipy.special"]]
 
 
+class TestClosedPipe:
+    def test_a_reader_that_stops_after_one_line_ends_with_exit_0(self, tmp_path):
+        # 20,000 rows give about 900 KB of ilr coordinates, far more than a
+        # pipe buffers, so the command is still writing when the reader stops.
+        data = tmp_path / "big.csv"
+        parts = 1.0 + np.random.default_rng(4).random((20_000, 3))
+        write_csv(data, ["group", "p1", "p2", "p3"], [["a", *row] for row in parts])
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "mcvtests.cli", "ilr", str(data)], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == EXIT_OK, err
+        assert first == b"group,ilr1,ilr2\n"
+        assert "Traceback" not in err
+
+
 class TestIlrCommand:
     def test_closed_form_two_parts(self, tmp_path, capsys):
         path = tmp_path / "comp.csv"
@@ -733,7 +751,11 @@ class TestExitCodeSweep:
             ]
             + ([("valid", ["--B", "0"], EXIT_INPUT)] if command != "estimate" else [])
         ]
-        + [(command, "valid", ["--alpha", "0"], EXIT_INPUT) for command in ("estimate", "test", "mct")],
+        + [(command, "valid", ["--alpha", "0"], EXIT_INPUT) for command in ("estimate", "test", "mct")]
+        # A bad seed or draw count is an input error, checked before any estimate.
+        + [(command, "constant_rr", ["--variant", "rr", "--seed", "-1"], EXIT_INPUT) for command in ("test", "mct")]
+        + [("mct", "constant_rr", ["--variant", "rr", "--method", "asymptotic", "--mc-draws", "0"], EXIT_INPUT),
+           ("mct", "valid", ["--mc-draws", "0"], EXIT_INPUT)],
     )
     def test_data_commands(self, tmp_path, capsys, command, case, flags, expected):
         argv = [command, _sweep_data(tmp_path, case), "--out", str(tmp_path / "r.json")]
@@ -768,6 +790,17 @@ class TestExitCodeSweep:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("base", [_SCENARIO, _MIMIC], ids=["scenario", "mimic"])
+    @pytest.mark.parametrize("key, value", [("seed", "-1"), ("mc_draws", "0")])
+    def test_simulate_bad_seed_or_draws_fails_before_any_worker(self, tmp_path, capsys, pool_builds,
+                                                                base, key, value):
+        cfg = _write_config(tmp_path / "c.cfg", {**base, key: value, "tests": "asym_mct"})
+        code = main(["simulate", "--config", cfg, "--workers", "2", "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT, err
+        assert key in err and "Traceback" not in err
+        assert pool_builds == []
 
 
 # Column kinds the fuzzer mixes: regular noise, a constant, a copy of the

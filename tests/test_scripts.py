@@ -28,6 +28,25 @@ class TestMimicStudy:
         proc = run_mimic_study(tmp_path, data)
         assert proc.returncode == cli.EXIT_INPUT, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "tidy.csv").exists()
+
+    def test_a_closed_output_pipe_ends_with_exit_0(self, tmp_path):
+        # The reader is gone before the first row is written: every write fails.
+        data = tmp_path / "data.csv"
+        data.write_text("group,x,y\na,1,2\na,2,3\na,3,5\nb,1,1\nb,2,2.5\nb,3,1\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, str(MIMIC_STUDY), str(data), "--replicates", "2", "--resamples", "5",
+                 "--workers", "1"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_power_study_writes_every_distribution_and_test(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -278,6 +278,8 @@ class TestRunMomentMimic:
             ({"n": (1, 10)}, "two observations"),
             ({"target_kind": "x"}, "target_kind"),
             ({"tests": ("perm_wald:x",)}, "target"),
+            ({"seed": -1}, "non-negative"),
+            ({"mc_draws": 0, "tests": ("asym_mct",)}, "mc_draws"),
         ],
     )
     def test_rejects_bad_settings_before_any_worker_starts(self, pool_builds, overrides, match):
@@ -352,6 +354,24 @@ class TestPresets:
             preset_configs("nope")
 
 
+_SCIPY_POOL_PROBE = """
+import json, sys
+import numpy as np
+from mcvtests import sim
+seen = []
+
+def spy(fn, tasks, workers, chunksize=1):
+    seen.append("scipy.special" in sys.modules)
+    return [fn(task) for task in tasks]
+
+sim.pool_map = spy
+for tests in json.loads(sys.argv[1]):
+    sim.run_moment_mimic([np.array([2.0, 1.0])] * 2, [np.eye(2)] * 2, n=(10, 10), distribution="normal",
+                         variant="vv", tests=tests, replicates=2, resamples=5, mc_draws=100, workers=2)
+print(json.dumps(seen))
+"""
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("raw", [None, "", "0"])
     def test_unset_defaults_to_one_and_caps_nothing(self, monkeypatch, raw):
@@ -382,6 +402,17 @@ class TestWorkerCount:
     def test_run_scenario_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="at least 1"):
             run_scenario(tiny_config(replicates=2), workers=0)
+
+    def test_workers_inherit_scipy_special_from_a_run_that_needs_it(self):
+        # Only asym_wald's chi-square tail needs scipy.special, so only its
+        # run imports it, once, before the pool would fork.
+        env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]))
+        env.pop("MCV_THREADS", None)
+        runs = '[["perm_wald", "asym_mct"], ["asym_wald"]]'
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_POOL_PROBE, runs], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[false,", "true]"]
 
 
 class TestWorkerPool:
