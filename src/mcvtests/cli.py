@@ -528,7 +528,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        if sys.stdout is not None:  # None when the process started without a stdout
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:
         # The reader closed stdout on purpose (``| head``).  Point stdout at
