@@ -30,7 +30,7 @@ from .design import (
     tukey_contrasts,
     validate_contrast,
 )
-from .estimation import DegeneracyError, McvVariant, Sample, _estimate_array, _intervals, _warn_small_n
+from .estimation import DegeneracyError, McvVariant, Sample, _estimate_one, _intervals, _warn_small_n
 from .sim import (
     ScenarioConfig,
     preset_configs,
@@ -226,7 +226,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     for label, sample in samples:
         for variant in variants:
             try:
-                est = _estimate_array(variant, sample.values)
+                est = _estimate_one(variant, sample.values)
                 ci_c, ci_b = _intervals(est, z)
             except DegeneracyError as exc:
                 raise DegeneracyError(f"group {label}: {exc}") from None

@@ -14,10 +14,13 @@ most resamples, a zero LU pivot marks a singular one, and only the rest go
 through ``numeric_rank``'s SVD (``_rank_deficient``); rr and vn reuse that
 inverse.
 
-A single sample is, for now, still estimated through the explicit quadratic
-form in its third/fourth mixed-moment matrices (``sample_moments``,
+A single sample goes through the same kernel at B = 1 (``_estimate_one``):
+``estimate``, ``one_sample_ci`` and the command line's ``estimate``.  Only
+the observed group estimates of the tests and the simulator and the pooled
+bootstrap centre are, for now, still taken through the explicit quadratic
+form in the third/fourth mixed-moment matrices (``sample_moments``,
 ``a_matrix``, ``asymptotic_variance``), and handed to the kernel only when
-its units push that form out of the float range; see ``_estimate_array``.
+their units push that form out of the float range; see ``_estimate_array``.
 """
 
 from __future__ import annotations
@@ -502,14 +505,15 @@ def _estimate_stack(
 
 def _estimate_array(variant: McvVariant, x: np.ndarray) -> EstimateResult:
     x = np.asarray(x, dtype=float)
-    # Interim fork.  Single samples keep the explicit quadratic form, bit for
+    # Interim fork for the observed group estimates (``group_stats``) and the
+    # pooled bootstrap centre.  They keep the explicit quadratic form, bit for
     # bit, because the asymptotic MCT critical values amplify one ulp of a
     # group variance to ~1e-9 (numkit.sym_sqrt roots the rank-deficient
     # correlation matrix) and the stored benchmark references pin them.  Once
-    # those are regenerated this function becomes ``_estimate_stack`` at B=1.
-    # Until then the kernel answers where the form cannot: entries outside
-    # 2**+-32, whose fourth powers BLAS would under- or overflow silently,
-    # and samples whose powers of det, m'm or c leave the float range.
+    # those are regenerated this function becomes ``_estimate_one``.  Until
+    # then the kernel answers where the form cannot: entries outside 2**+-32,
+    # whose fourth powers BLAS would under- or overflow silently, and samples
+    # whose powers of det, m'm or c leave the float range.
     if 2.0**-32 <= np.abs(x).max() <= 2.0**32:
         try:
             m = _moments_from_array(x)
@@ -522,6 +526,11 @@ def _estimate_array(variant: McvVariant, x: np.ndarray) -> EstimateResult:
                 return EstimateResult(
                     variant=variant, c=c, b=1.0 / c, var_c=var_c, var_b=var_b, n=m.n
                 )
+    return _estimate_one(variant, x)
+
+
+def _estimate_one(variant: McvVariant, x: np.ndarray) -> EstimateResult:
+    """``_estimate_stack`` at B = 1 on one (n, d) sample; a degenerate one raises."""
     out, code = _estimate_stack(variant, x[None])
     if code[0] != _OK:
         raise DegeneracyError(degeneracy_reason(variant, int(code[0])))
@@ -541,7 +550,7 @@ def _warn_small_n(n: int, d: int) -> None:
 def estimate(variant: McvVariant, sample: Sample) -> EstimateResult:
     """MCV and standardized-mean estimates with their asymptotic variances."""
     _warn_small_n(sample.n, sample.d)
-    return _estimate_array(variant, sample.values)
+    return _estimate_one(variant, sample.values)
 
 
 def _intervals(est: EstimateResult, z: float) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -1,11 +1,12 @@
 """Equivalence of the batched fast paths with the slow paths they replace.
 
-The stacked estimation kernel is checked against the explicit delta-method
-quadratic form (``sample_moments`` + ``asymptotic_variance``), the stacked
-Wald and max-statistic steps against per-resample loops (the Wald step's
-row-space solve also against the pseudo-inverse it replaces), and the chunked
-resampling engine against itself at chunk size one and at several worker
-counts, and against a loop that seeds every resample's stream on its own.
+The stacked estimation kernel, and ``estimate`` through it, are checked
+against the explicit delta-method quadratic form (``sample_moments`` +
+``asymptotic_variance``), the stacked Wald and max-statistic steps against
+per-resample loops (the Wald step's row-space solve also against the
+pseudo-inverse it replaces), and the chunked resampling engine against itself
+at chunk size one and at several worker counts, and against a loop that seeds
+every resample's stream on its own.
 """
 
 import math
@@ -32,6 +33,7 @@ from mcvtests._resampling import (
     wald_resample_stats,
     wald_value,
 )
+from mcvtests.cli import EXIT_OK, main
 from mcvtests.design import (
     FactorLayout,
     centering_matrix,
@@ -47,6 +49,7 @@ from mcvtests.estimation import (
     a_matrix,
     asymptotic_variance,
     degeneracy_reason,
+    estimate,
     mcv,
     s_factor,
     sample_moments,
@@ -179,6 +182,46 @@ class TestKernelAgainstQuadraticForm:
             asymptotic_variance(McvVariant.RR, sample_moments(Sample(x)))
         out, code = _estimate_stack(McvVariant.RR, x[None])
         assert code[0] == 0 and np.isfinite(out).all()
+
+
+class TestEstimateThroughTheKernel:
+    """``estimate`` is ``_estimate_stack`` at B = 1; the quadratic form it replaced is the reference."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_estimate_is_the_kernel_bit_for_bit(self, variant):
+        rng = np.random.default_rng(9)
+        for x in (draw_groups(rng, 1, 30, 4)[0], 1e40 * draw_groups(rng, 1, 12, 2)[0]):
+            out, code = _estimate_stack(variant, x[None])
+            est = estimate(variant, Sample(x))
+            assert code[0] == 0 and est.n == x.shape[0]
+            assert [est.c, est.b, est.var_c, est.var_b] == out[0].tolist()
+
+    @pytest.mark.parametrize("d", [1, 5, 20, 40])
+    def test_matches_the_quadratic_form_on_well_conditioned_samples(self, d):
+        rng = np.random.default_rng(d)
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        root = q * np.sqrt(10 ** rng.uniform(-1.0, 0.0, d))
+        x = 1.0 / np.sqrt(d) + rng.standard_normal((200, d)) @ root.T
+        assert np.linalg.cond(sample_moments(Sample(x)).cov) <= 100.0
+        for variant in VARIANTS:
+            est = estimate(variant, Sample(x))
+            assert est.c >= 0.3
+            got = [est.c, est.b, est.var_c, est.var_b]
+            np.testing.assert_allclose(got, slow_estimate(variant, x), rtol=1e-9, atol=0)
+
+    def test_builds_no_moment_matrices(self, monkeypatch, tmp_path):
+        def quadratic_form(*args):
+            raise AssertionError("a single-sample estimate built the moment matrices")
+
+        monkeypatch.setattr(estimation, "_moments_from_array", quadratic_form)
+        monkeypatch.setattr(estimation, "_variance_at", quadratic_form)
+        x = draw_groups(np.random.default_rng(40), 1, 200, 40)[0]
+        for variant in VARIANTS:
+            estimate(variant, Sample(x))
+        path = tmp_path / "d40.csv"
+        header = ",".join(["group", *(f"x{j}" for j in range(40))])
+        path.write_text("\n".join([header, *("g," + ",".join(map(repr, row)) for row in x.tolist())]))
+        assert main(["estimate", str(path), "--out", str(tmp_path / "report.json")]) == EXIT_OK
 
 
 def numeric_rank_branch(variant, x):

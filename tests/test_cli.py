@@ -176,9 +176,9 @@ class TestEstimateCommand:
 
     def test_each_group_and_variant_is_estimated_once(self, four_group_file, tmp_path, monkeypatch):
         calls = []
-        original = estimation._estimate_array
+        original = estimation._estimate_one
         monkeypatch.setattr(
-            cli, "_estimate_array",
+            cli, "_estimate_one",
             lambda variant, x: calls.append((variant.value, x[0, 0])) or original(variant, x),
         )
         out = tmp_path / "report.json"
