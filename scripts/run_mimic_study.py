@@ -8,22 +8,22 @@ distributions.
 
     python scripts/run_mimic_study.py data.csv --variant vv --mode size --out mimic.csv
 
-A bad file or setting ends with a one-line message and exit code 2, and
-leaves no output file.  A reader that closes the output pipe early ends it
-with exit code 0.
+Each distribution's study writes its tidy rows as it ends, flushed, and a
+``[mimic-<mode>-<dist>] R replicates in Ts`` line to stderr, so a stopped run
+keeps the studies that ended.  Exit codes are those of ``mcvtests``: a bad
+file or setting ends with a one-line message and exit code 2, and leaves no
+output file; a degenerate study ends with exit code 3; a reader that closes
+the output pipe early ends it with exit code 0.
 """
 
 import argparse
-import contextlib
-import csv
-import os
 import sys
 
 import numpy as np
 
-from mcvtests.cli import EXIT_INPUT, EXIT_OK, read_groups
+from mcvtests.cli import guarded, read_groups, write_tidy
 from mcvtests.estimation import McvVariant
-from mcvtests.sim import TIDY_COLUMNS, run_moment_mimic, tidy_rows
+from mcvtests.sim import DISTRIBUTIONS, run_moment_mimic
 
 TESTS = ("perm_wald:c", "perm_wald:b", "boot_wald:c", "boot_wald:b", "boot_mct:c", "boot_mct:b")
 
@@ -40,58 +40,34 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    groups = read_groups(args.file)
-    sizes = tuple(v.shape[0] for _, v in groups)
-    if args.mode == "size":
-        pooled = np.vstack([v for _, v in groups])
-        mu = pooled.mean(axis=0)
-        xc = pooled - mu
-        cov = xc.T @ xc / pooled.shape[0]
-        mus = [mu] * len(groups)
-        sigmas = [cov] * len(groups)
-    else:
-        mus, sigmas = [], []
-        for _, v in groups:
-            mu = v.mean(axis=0)
-            xc = v - mu
-            mus.append(mu)
-            sigmas.append(xc.T @ xc / v.shape[0])
-
-    with contextlib.ExitStack() as stack:
-        writer = None
-        for dist in ("normal", "student5", "chisq10"):
-            result = run_moment_mimic(
-                mus,
-                sigmas,
-                n=sizes,
-                distribution=dist,
-                variant=McvVariant(args.variant),
-                tests=TESTS,
-                replicates=args.replicates,
-                resamples=args.resamples,
-                seed=args.seed,
-                workers=args.workers,
-                name=f"mimic-{args.mode}-{dist}",
-            )
-            if writer is None:
-                # Opened only now, so a setting the first study rejects leaves no file.
-                fh = stack.enter_context(open(args.out, "w", newline="")) if args.out else sys.stdout
-                writer = csv.DictWriter(fh, fieldnames=list(TIDY_COLUMNS), lineterminator="\n")
-                writer.writeheader()
-            writer.writerows(tidy_rows(result))
-            fh.flush()
-            print(f"{dist}: {result.wall_clock:.0f}s", file=sys.stderr, flush=True)
+    arrays = [v for _, v in read_groups(args.file)]
+    # Size mode: every group takes the pooled moments; power mode: its own.
+    parts = [np.vstack(arrays)] * len(arrays) if args.mode == "size" else arrays
+    mus, sigmas = [], []
+    for x in parts:
+        mu = x.mean(axis=0)
+        xc = x - mu
+        mus.append(mu)
+        sigmas.append(xc.T @ xc / x.shape[0])
+    studies = (
+        run_moment_mimic(
+            mus,
+            sigmas,
+            n=tuple(v.shape[0] for v in arrays),
+            distribution=dist,
+            variant=McvVariant(args.variant),
+            tests=TESTS,
+            replicates=args.replicates,
+            resamples=args.resamples,
+            seed=args.seed,
+            workers=args.workers,
+            name=f"mimic-{args.mode}-{dist}",
+        )
+        for dist in DISTRIBUTIONS
+    )
+    write_tidy(args.out, studies)
     return 0
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        # The reader closed stdout on purpose (``| head``).  Point stdout at
-        # devnull, so the flush at exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(EXIT_OK)
-    except ValueError as exc:  # a bad file or setting, InputError included
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_INPUT)
+    sys.exit(guarded(main))

@@ -10,12 +10,14 @@ validation error, 3 statistical degeneracy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
 import math
 import os
 import sys
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .design import (
 from .estimation import DegeneracyError, McvVariant, Sample, _estimate_one, _intervals, _warn_small_n
 from .sim import (
     ScenarioConfig,
+    ScenarioResult,
     preset_configs,
     run_moment_mimic,
     run_scenario,
@@ -438,32 +441,45 @@ def _config_from_values(raw: dict, path: str) -> dict:
     return {"mode": mode, "config": ScenarioConfig(**values) if mode == "scenario" else values}
 
 
+def write_tidy(path: str | None, studies: Iterable[ScenarioResult]) -> list[ScenarioResult]:
+    """Write each study's tidy rows to ``path`` (default stdout) as the study ends.
+
+    The rows are flushed and a ``[scenario] R replicates in Ts`` line goes to
+    stderr before the next study starts, so a stopped run keeps every study
+    that ended.  The file is opened only when the first study has ended, so a
+    setting that the first study rejects leaves no file.  Returns the results.
+    """
+    results = []
+    with contextlib.ExitStack() as stack:
+        for res in studies:
+            if not results:
+                fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8")) if path else sys.stdout
+                writer = csv.DictWriter(fh, fieldnames=list(TIDY_COLUMNS), lineterminator="\n")
+                writer.writeheader()
+            results.append(res)
+            writer.writerows(tidy_rows(res))
+            fh.flush()
+            print(f"[{res.meta['scenario']}] {res.replicates_run} replicates in {res.wall_clock:.1f}s",
+                  file=sys.stderr, flush=True)
+    return results
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if bool(args.config) == bool(args.preset):
         raise InputError("exactly one of --config or --preset is required")
-    results = []
-
-    def finished(res) -> None:
-        # Progress per scenario, as it ends: a multi-cell preset runs for hours.
-        results.append(res)
-        print(f"[{res.meta['scenario']}] {res.replicates_run} replicates in {res.wall_clock:.1f}s",
-              file=sys.stderr, flush=True)
-
     if args.preset:
         try:
             configs = preset_configs(args.preset)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        for cfg in configs:
-            finished(run_scenario(cfg, workers=args.workers))
+        results = write_tidy(args.out, (run_scenario(cfg, workers=args.workers) for cfg in configs))
     else:
         loaded = load_config(args.config)
         if loaded["mode"] == "scenario":
-            finished(run_scenario(loaded["config"], workers=args.workers))
+            study = run_scenario(loaded["config"], workers=args.workers)
         else:
-            finished(run_moment_mimic(**loaded["config"], workers=args.workers))
-    rows = [row for res in results for row in tidy_rows(res)]
-    _write_csv(args.out, TIDY_COLUMNS, rows)
+            study = run_moment_mimic(**loaded["config"], workers=args.workers)
+        results = write_tidy(args.out, [study])
     if args.report:
         scenarios = [{"meta": res.meta, "outcomes": [vars(oc) for oc in res.outcomes]} for res in results]
         _emit_report(_report(args, scenarios=scenarios), args.report)
@@ -523,11 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def guarded(command: Callable[[], int]) -> int:
+    """Run ``command`` and map its failure to an exit code, with a one-line message.
+
+    A closed stdout pipe is 0, an input or validation error 2, a statistical
+    degeneracy 3.
+    """
     try:
-        code = args.func(args)
+        code = command()
         if sys.stdout is not None:  # None when the process started without a stdout
             sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
@@ -542,6 +561,11 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return guarded(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -536,11 +536,10 @@ def _protocol_cell(
     variant: McvVariant,
     targets: tuple[float, ...],
     n_i: int,
+    tests: tuple[str, ...] = _SIZE_TESTS,
     rho: float = 0.1,
     distribution: str = "normal",
-    replicates: int = 1000,
     resamples: int = 500,
-    seed: int = 2023,
 ) -> ScenarioConfig:
     return ScenarioConfig(
         name=name,
@@ -554,11 +553,26 @@ def _protocol_cell(
         variant=variant,
         target_kind="c",
         alpha=0.05,
-        replicates=replicates,
+        replicates=1000,
         resamples=resamples,
-        seed=seed,
-        tests=_SIZE_TESTS,
+        seed=2023,
+        tests=tests,
     )
+
+
+def _full_grid(
+    kind: str, layouts: dict[float, tuple[float, ...]], sizes: tuple[int, ...], tests: tuple[str, ...]
+) -> list[ScenarioConfig]:
+    """The whole protocol grid: variant x distribution x rho x (level, targets) x n, 1000 resamples."""
+    return [
+        _protocol_cell(f"{kind}-{variant.value}-{dist}-rho{rho:g}-c{level:g}-n{n_i}", variant, targets, n_i,
+                       tests, rho=rho, distribution=dist, resamples=1000)
+        for variant in McvVariant
+        for dist in DISTRIBUTIONS
+        for rho in (0.1, 0.4, 0.7)
+        for level, targets in layouts.items()
+        for n_i in sizes
+    ]
 
 
 def preset_configs(name: str) -> list[ScenarioConfig]:
@@ -578,51 +592,13 @@ def preset_configs(name: str) -> list[ScenarioConfig]:
             for v in McvVariant
         ]
     if name == "paper-size-full":
-        cells = []
-        for variant in McvVariant:
-            for dist in DISTRIBUTIONS:
-                for rho in (0.1, 0.4, 0.7):
-                    for level in (0.1, 0.5, 1.0, 1.5):
-                        for n_i in (30, 50, 70, 100, 150, 200):
-                            cells.append(
-                                replace(
-                                    _protocol_cell(
-                                        f"size-{variant.value}-{dist}-rho{rho:g}-c{level:g}-n{n_i}",
-                                        variant,
-                                        (level,) * 4,
-                                        n_i,
-                                        rho=rho,
-                                        distribution=dist,
-                                        replicates=1000,
-                                        resamples=1000,
-                                    ),
-                                    tests=_SIZE_TESTS + ("asym_wald:c", "asym_wald:b", "asym_mct:c", "asym_mct:b"),
-                                )
-                            )
-        return cells
+        return _full_grid(
+            "size",
+            {level: (level,) * 4 for level in (0.1, 0.5, 1.0, 1.5)},
+            (30, 50, 70, 100, 150, 200),
+            _SIZE_TESTS + ("asym_wald:c", "asym_wald:b", "asym_mct:c", "asym_mct:b"),
+        )
     if name == "paper-power-full":
-        layouts = {
-            0.1: (0.1, 0.1, 0.1, 0.15),
-            0.5: (0.5, 0.5, 0.5, 0.7),
-            1.0: (1.0, 1.0, 1.0, 1.5),
-        }
-        cells = []
-        for variant in McvVariant:
-            for dist in DISTRIBUTIONS:
-                for rho in (0.1, 0.4, 0.7):
-                    for level, targets in layouts.items():
-                        for n_i in (30, 50):
-                            cells.append(
-                                _protocol_cell(
-                                    f"power-{variant.value}-{dist}-rho{rho:g}-c{level:g}-n{n_i}",
-                                    variant,
-                                    targets,
-                                    n_i,
-                                    rho=rho,
-                                    distribution=dist,
-                                    replicates=1000,
-                                    resamples=1000,
-                                )
-                            )
-        return cells
+        layouts = {0.1: (0.1, 0.1, 0.1, 0.15), 0.5: (0.5, 0.5, 0.5, 0.7), 1.0: (1.0, 1.0, 1.0, 1.5)}
+        return _full_grid("power", layouts, (30, 50), _SIZE_TESTS)
     raise ValueError(f"unknown preset {name!r}")

@@ -654,6 +654,31 @@ class TestSimulateCommand:
         assert stderr_before_run[1].startswith("[first] 2 replicates in ")
         assert capsys.readouterr().err.startswith("[second] 2 replicates in ")
 
+    def test_a_stopped_preset_keeps_the_cells_that_ended(self, tmp_path, monkeypatch, capsys):
+        base = cli.load_config(self.write_config(tmp_path, replicates="2", resamples="5"))["config"]
+        cells = [replace(base, name=name) for name in ("first", "second", "third")]
+        monkeypatch.setattr(cli, "preset_configs", lambda name: cells)
+        full = tmp_path / "full.csv"
+        assert main(["simulate", "--preset", "three-cells", "--out", str(full)]) == EXIT_OK
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 1 + 3 * 2  # the header, then two tests per cell
+        kept = b"".join(lines[: 1 + 2 * 2])
+
+        def run(cfg, workers=None):
+            if cfg.name == "third":
+                raise ValueError("stopped in the third cell")
+            return run_scenario(cfg, workers=workers)
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        capsys.readouterr()
+        out = tmp_path / "stopped.csv"
+        assert main(["simulate", "--preset", "three-cells", "--out", str(out)]) == EXIT_INPUT
+        assert out.read_bytes() == kept
+        assert main(["simulate", "--preset", "three-cells"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out.encode() == kept
+        assert captured.err.endswith("error: stopped in the third cell\n")
+
     def test_preset_cells_share_one_pool(self, tmp_path, monkeypatch, pool_builds):
         base = cli.load_config(self.write_config(tmp_path, replicates="4", resamples="8"))["config"]
         cells = [replace(base, name="first"), replace(base, name="second", seed=4)]

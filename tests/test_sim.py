@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import multiprocessing
 import os
@@ -348,6 +350,22 @@ class TestPresets:
     def test_full_grids_construct(self):
         assert len(preset_configs("paper-size-full")) == 4 * 3 * 3 * 4 * 6
         assert len(preset_configs("paper-power-full")) == 4 * 3 * 3 * 3 * 2
+
+    # Cell count and SHA-256 of repr([astuple(cell) ...]) of every preset, so
+    # that a change to any field of any cell shows.
+    PINNED = {
+        "paper-size-small": (1, "ba2d08b240cf5cd45c57681a61088e66b85b52b829a60dec4e9cfabc931f8875"),
+        "paper-power-small": (1, "787c722ae10c7372572646c22ac228182bf5208600bcf5c3c0b8bcb1d86abab0"),
+        "paper-size-nightly": (8, "72637fabbbe5c4f8eb10550974946ba2578b59b3f649c65f9e23c03f86ca4822"),
+        "paper-size-full": (864, "1e1b173472329144f5d16299ca5f0ef0defa8756b8270e62e8ede874e03cab6b"),
+        "paper-power-full": (216, "0507844486670fc7bce53cfa6c6fa65b8416d6ff94828bfda55702362ab2a6c8"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_preset_cells_are_pinned(self, name):
+        cells = preset_configs(name)
+        digest = hashlib.sha256(repr([dataclasses.astuple(c) for c in cells]).encode()).hexdigest()
+        assert (len(cells), digest) == self.PINNED[name]
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
